@@ -19,18 +19,17 @@ from .functionals import (DiagnosticsRecord, casimir_integral,
                           read_diagnostics_csv, write_diagnostics_csv)
 from .grid import (DistributionField, PhaseGrid, Potential,
                    field_from_function, integrate, load_snapshot, make_grid,
-                   save_snapshot, velocity_moment, weighted_l1_distance)
+                   save_snapshot, weighted_l1_distance)
 from .interaction import (Density, convolution_potential, density, kernel_W,
                           kernel_W_prime, potential_from_density,
                           solve_potential)
-from .rearrange import (EnergyMeasure, MonotoneProfile, beta_overlap,
-                        compose_profile, convex_B, distribution_function,
-                        energy_measure, equimeasurability_defect,
-                        equimeasurable_minimize, inverse_sublevel_measure,
-                        level_band_defect, level_grid, load_profile,
-                        microscopic_energy_pairing, profile_pairing_integral,
-                        pseudo_inverse, rearrange_with_energy,
-                        rearranged_energy_integral, save_profile,
+from .rearrange import (MonotoneProfile, beta_overlap, compose_profile,
+                        convex_B, distribution_function,
+                        equimeasurability_defect, equimeasurable_minimize,
+                        inverse_sublevel_measure, level_band_defect,
+                        level_grid, microscopic_energy_pairing,
+                        profile_pairing_integral, pseudo_inverse,
+                        rearrange_with_energy, rearranged_energy_integral,
                         sublevel_measure_a)
 from .solver import (EvolveResult, SolverConfig, StepLosses, advect_theta,
                      advect_v, evolve, strang_step)

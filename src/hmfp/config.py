@@ -29,46 +29,39 @@ def _parse_bool(text):
     raise ValueError("expected true or false, got %r" % text)
 
 
-def _positive_int(name):
-    def check(v):
-        if v < 1:
-            raise ValueError("%s must be at least 1" % name)
-        return v
-    return check
-
-
-# key -> (attribute, parser, default).  A default of _REQUIRED-like None
-# means the key may stay unset; commands that need it complain by name.
+# key -> (attribute, parser).  The defaults live on ExperimentConfig.
 _KEYS = {
-    "grid.n_theta": ("n_theta", int, 128),
-    "grid.n_v": ("n_v", int, 128),
-    "grid.v_max": ("v_max", float, 6.0),
-    "casimir": ("casimir", str, "entropy"),
-    "constraints.m1": ("m1", float, None),
-    "constraints.mj": ("mj", float, None),
-    "solver.damping": ("damping", float, 0.5),
-    "solver.tol": ("tol", float, 1e-9),
-    "solver.max_iter": ("max_iter", int, 10000),
-    "seed.amplitude": ("seed_amplitude", float, 0.0),
-    "solver.dt": ("dt", float, 0.05),
-    "solver.t_end": ("t_end", float, 10.0),
-    "solver.interpolation": ("interpolation", str, "linear"),
-    "solver.record_every": ("record_every", int, 1),
-    "solver.snapshot_every": ("snapshot_every", int, 0),
-    "perturbation.kind": ("kind", str, "density_bump"),
-    "perturbation.amplitude": ("amplitude", float, 0.0),
-    "perturbation.seed": ("seed", int, 0),
-    "perturbation.renormalize": ("renormalize", _parse_bool, False),
-    "rearrange.phi": ("phi_source", str, "self"),
-    "output.dir": ("output_dir", str, "runs"),
+    "grid.n_theta": ("n_theta", int),
+    "grid.n_v": ("n_v", int),
+    "grid.v_max": ("v_max", float),
+    "casimir": ("casimir", str),
+    "constraints.m1": ("m1", float),
+    "constraints.mj": ("mj", float),
+    "solver.damping": ("damping", float),
+    "solver.tol": ("tol", float),
+    "solver.max_iter": ("max_iter", int),
+    "seed.amplitude": ("seed_amplitude", float),
+    "solver.dt": ("dt", float),
+    "solver.t_end": ("t_end", float),
+    "solver.interpolation": ("interpolation", str),
+    "solver.record_every": ("record_every", int),
+    "solver.snapshot_every": ("snapshot_every", int),
+    "perturbation.kind": ("kind", str),
+    "perturbation.amplitude": ("amplitude", float),
+    "perturbation.seed": ("seed", int),
+    "perturbation.renormalize": ("renormalize", _parse_bool),
+    "rearrange.phi": ("phi_source", str),
+    "output.dir": ("output_dir", str),
 }
-
-_ATTR_TO_KEY = {attr: key for key, (attr, _, _) in _KEYS.items()}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved configuration with every key at its final value."""
+    """Resolved configuration with every key at its final value.
+
+    A default of None means the key may stay unset; commands that need it
+    complain by name.
+    """
 
     n_theta: int = 128
     n_v: int = 128
@@ -97,6 +90,11 @@ class ExperimentConfig:
             parse_casimir(self.casimir)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        try:
+            self.grid()
+        except ValueError as exc:
+            # PhaseGrid names the offending attribute first
+            raise ConfigError("grid.%s" % exc) from exc
         if self.m1 is not None and not self.m1 > 0.0:
             raise ConfigError("constraints.m1 must be positive")
         if self.mj is not None and not self.mj > 0.0:
@@ -110,6 +108,12 @@ class ExperimentConfig:
             raise ConfigError("rearrange.phi must be 'self' or 'zero'")
         if self.snapshot_every < 0:
             raise ConfigError("solver.snapshot_every must be nonnegative")
+        if not 0.0 < self.damping <= 1.0:
+            raise ConfigError("solver.damping must lie in (0, 1]")
+        if not self.tol >= 0.0:
+            raise ConfigError("solver.tol must be nonnegative")
+        if self.max_iter < 1:
+            raise ConfigError("solver.max_iter must be at least 1")
 
     def grid(self):
         return PhaseGrid(self.n_theta, self.n_v, self.v_max)
@@ -134,7 +138,7 @@ class ExperimentConfig:
         """Every key in sorted order at its resolved value."""
         lines = []
         for key in sorted(_KEYS):
-            attr, _, _ = _KEYS[key]
+            attr, _ = _KEYS[key]
             value = getattr(self, attr)
             if value is None:
                 continue
@@ -148,7 +152,7 @@ class ExperimentConfig:
         """A copy with one key replaced by a raw string value."""
         if key not in _KEYS:
             raise ConfigError("unknown key %r" % key)
-        attr, parser, _ = _KEYS[key]
+        attr, parser = _KEYS[key]
         try:
             return replace(self, **{attr: parser(raw_value)})
         except ConfigError:
@@ -189,7 +193,7 @@ def parse_config(text):
 
     kwargs = {}
     for key, value in seen.items():
-        attr, parser, _ = _KEYS[key]
+        attr, parser = _KEYS[key]
         try:
             kwargs[attr] = parser(value)
         except ConfigError:

@@ -38,7 +38,7 @@ def _require_input(input_path):
         raise ConfigError("this command needs --input <snapshot>")
     try:
         return load_snapshot(input_path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError("cannot read snapshot %s: %s" % (input_path, exc)) from exc
 
 

@@ -146,14 +146,6 @@ def integrate(field: DistributionField) -> float:
     return float(field.values.sum()) * field.grid.cell_area
 
 
-def velocity_moment(field: DistributionField, power: int = 1) -> float:
-    """Midpoint quadrature of v^power * f over phase space."""
-    if power == 0:
-        return integrate(field)
-    w = field.grid.v ** power
-    return float((field.values @ w).sum()) * field.grid.cell_area
-
-
 def weighted_l1_distance(f: DistributionField, g: DistributionField) -> float:
     """(1 + v^2)-weighted L1 distance between two fields on the same grid."""
     if f.grid != g.grid:

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DistributionField, PhaseGrid, Potential
-
-TWO_PI = 2.0 * np.pi
+from .grid import TWO_PI, DistributionField, PhaseGrid, Potential
 
 
 def _reduce_angle(theta):

@@ -22,12 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .grid import DistributionField, PhaseGrid, Potential
 from .interaction import solve_potential
-from .steady import SteadyStateResult
-
-TWO_PI = 2.0 * np.pi
+from .steady import SteadyStateResult, _damped_fixed_point
 
 STEP = "step"
 LINEAR = "linear"
@@ -78,19 +75,6 @@ class MonotoneProfile:
             idx = np.searchsorted(self.breakpoints, x, side="right") - 1
             out = self.values[np.clip(idx, 0, self.values.size - 1)]
         return out if out.ndim else float(out)
-
-
-def save_profile(profile: MonotoneProfile, path) -> None:
-    """Write a profile as two-column CSV rows (breakpoint, value)."""
-    with open(path, "w") as fh:
-        for b, v in zip(profile.breakpoints, profile.values):
-            fh.write(f"{b:.17g},{v:.17g}\n")
-
-
-def load_profile(path, rule: str = STEP) -> MonotoneProfile:
-    """Read a two-column CSV profile written by save_profile."""
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
-    return MonotoneProfile(data[:, 0], data[:, 1], rule)
 
 
 def level_grid(f: DistributionField, n_levels: int | None = None) -> np.ndarray:
@@ -180,44 +164,6 @@ def inverse_sublevel_measure(phi: Potential, s):
         hi = np.where(below, hi, mid)
     out = 0.5 * (lo + hi)
     return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class EnergyMeasure:
-    """Tabulated sublevel measure of a potential's microscopic energy."""
-
-    potential: Potential
-    energies: np.ndarray
-    a_values: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.energies, dtype=float)
-        a = np.asarray(self.a_values, dtype=float)
-        if e.shape != a.shape or e.ndim != 1:
-            raise ValueError("energies and a_values must be matching 1-d vectors")
-        if not np.all(np.diff(e) > 0):
-            raise ValueError("energy samples must be strictly increasing")
-        if np.any(np.diff(a) < 0):
-            raise ValueError("sublevel measures must be nondecreasing")
-        e = e.copy()
-        a = a.copy()
-        e.flags.writeable = False
-        a.flags.writeable = False
-        object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "a_values", a)
-
-    def a(self, e):
-        return sublevel_measure_a(self.potential, e)
-
-    def a_inverse(self, s):
-        return inverse_sublevel_measure(self.potential, s)
-
-
-def energy_measure(phi: Potential, n_samples: int = 256) -> EnergyMeasure:
-    """Tabulate a_phi from min phi to the largest grid energy."""
-    g = phi.grid
-    e = np.linspace(float(phi.values.min()), float(phi.values.max()) + 0.5 * g.v_max ** 2, n_samples)
-    return EnergyMeasure(phi, e, sublevel_measure_a(phi, e))
 
 
 # ---------------------------------------------------------------------------
@@ -448,30 +394,22 @@ def equimeasurable_minimize(
     constraint here is the full orbit of f0, not scalar moments), so the
     multipliers slot of the result is None.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
     g = f0.grid
     fsharp = pseudo_inverse(distribution_function(f0, level_grid(f0)))
-    phi = solve_potential(f0)
-    for iterations in range(1, max_iter + 1):
+
+    def update(phi):
         field = compose_profile(fsharp, g, phi)
-        phi_f = solve_potential(field)
-        defect = float(np.max(np.abs(phi_f.values - phi.values)))
-        if defect <= tol:
-            return SteadyStateResult(
-                field=field,
-                potential=phi,
-                multipliers=None,
-                fixed_point_residual=damping * defect,
-                iterations=iterations,
-                discarded_tail_mass=0.0,
-            )
-        phi = Potential(
-            g,
-            (1.0 - damping) * phi.values + damping * phi_f.values,
-            (1.0 - damping) * phi.derivative + damping * phi_f.derivative,
-        )
-    raise ConvergenceError(
-        f"equimeasurable minimization did not converge in {max_iter} steps "
-        f"(last defect {defect:g})"
+        return solve_potential(field), field
+
+    phi, field, iterations, residual = _damped_fixed_point(
+        solve_potential(f0), update, damping, tol, max_iter,
+        "equimeasurable minimization",
+    )
+    return SteadyStateResult(
+        field=field,
+        potential=phi,
+        multipliers=None,
+        fixed_point_residual=residual,
+        iterations=iterations,
+        discarded_tail_mass=0.0,
     )

@@ -28,11 +28,10 @@ import numpy as np
 from .casimir import ENTROPY, CasimirSpec, positive_part_inverse_derivative
 from .errors import ConvergenceError, SolverAbort
 from .functionals import casimir_integral
-from .grid import DistributionField, PhaseGrid, Potential
+from .grid import TWO_PI, DistributionField, PhaseGrid, Potential
 from .interaction import density, solve_potential
 
-TWO_PI = 2.0 * np.pi
-SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Gauss-Legendre rule for the incomplete support integrals of the tail report.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -117,6 +116,12 @@ def _beta_half(m: float) -> float:
     return math.sqrt(math.pi) * math.gamma(m + 1.0) / (2.0 * math.gamma(m + 1.5))
 
 
+def _power_coefficient(k: float, ps: float) -> float:
+    """2 sqrt(2) B(k) (p s)**(-k): the velocity integral of a power profile
+    of order k, per (lambda - phi)_+**(k + 1/2)."""
+    return 2.0 * math.sqrt(2.0) * _beta_half(k) * ps ** (-k)
+
+
 def _incomplete_beta_half(k: float, u0: np.ndarray) -> np.ndarray:
     """Integral of (1-u**2)**k over [u0, 1], per entry, by Gauss-Legendre."""
     half = 0.5 * (1.0 - u0)
@@ -139,7 +144,7 @@ def profile_moments(
     if spec.family == ENTROPY:
         if multipliers.mu is not None:
             raise ValueError("the entropy family carries no mu multiplier")
-        rows = SQRT_TWO_PI * np.exp(lam - phi.values)
+        rows = SQRT_2PI * np.exp(lam - phi.values)
         mass_rows = rows
         casimir_rows = rows * (lam - phi.values - 0.5)
         kinetic_rows = rows
@@ -157,8 +162,8 @@ def profile_moments(
         with np.errstate(over="ignore"):
             a_low = a ** (k + 0.5)
             a_high = a ** (k + 1.5)
-            mass_rows = 2.0 * root2 * b_k * scale * a_low
-            casimir_rows = 2.0 * root2 * b_k1 * (p * s) ** (-(k + 1.0)) * a_high
+            mass_rows = _power_coefficient(k, p * s) * a_low
+            casimir_rows = _power_coefficient(k + 1.0, p * s) * a_high
             kinetic_rows = 4.0 * root2 * (b_k - b_k1) * scale * a_high
         inner_rows = p * casimir_rows
         edge = np.sqrt(2.0 * a)
@@ -176,30 +181,14 @@ def profile_moments(
     )
 
 
-def _profile_mass(phi: Potential, spec: CasimirSpec, lam: float, s: float | None) -> float:
-    """Mass map K: total mass of the profile, exact in v (s = |mu| or None)."""
-    if spec.family == ENTROPY:
-        return SQRT_TWO_PI * float(np.exp(lam - phi.values).sum()) * phi.grid.d_theta
+def _power_map(phi: Potential, spec: CasimirSpec, lam: float, s: float, shift: float) -> float:
+    """Exact-in-v map of a power profile at multipliers (lam, -s): the mass
+    map K at shift 0, the Casimir map G at shift 1."""
     k = 1.0 / (spec.p - 1.0)
     a = np.maximum(lam - phi.values, 0.0)
     with np.errstate(over="ignore"):
-        total = float((a ** (k + 0.5)).sum())
-        return (
-            2.0 * math.sqrt(2.0) * _beta_half(k) * (spec.p * (s or 1.0)) ** (-k)
-            * total * phi.grid.d_theta
-        )
-
-
-def _profile_casimir(phi: Potential, spec: CasimirSpec, lam: float, s: float) -> float:
-    """Casimir map G at fixed multipliers, exact in v (power families)."""
-    k = 1.0 / (spec.p - 1.0)
-    a = np.maximum(lam - phi.values, 0.0)
-    with np.errstate(over="ignore"):
-        total = float((a ** (k + 1.5)).sum())
-        return (
-            2.0 * math.sqrt(2.0) * _beta_half(k + 1.0) * (spec.p * s) ** (-(k + 1.0))
-            * total * phi.grid.d_theta
-        )
+        total = float((a ** (k + (0.5 + shift))).sum())
+        return _power_coefficient(k + shift, spec.p * s) * total * phi.grid.d_theta
 
 
 def build_F_phi(
@@ -267,24 +256,37 @@ def _bisect_increasing(fn, target, lo, hi, grow_lo, grow_hi, rel_tol, what):
     )
 
 
-def _lambda_bracket_growers(min_phi: float):
-    """Geometric bracket growth for the lambda solves, shared by both loops.
+def _solve_lambda(
+    phi: Potential, spec: CasimirSpec, m1: float, s: float, rel_tol: float, what: str
+) -> float:
+    """Lambda with exact profile mass m1 at |mu| = s, by bisection.
 
-    Below: step down from min_phi with doubling decrements (the mass map is
-    0 below min_phi for power families and decays exponentially for entropy,
-    so both directions terminate).  Above: double the offset from min_phi.
+    The bracket starts at [min phi + eps, min phi + 1].  Below, it steps
+    down from min phi with doubling decrements (the mass map is 0 below
+    min phi for power families and decays exponentially for entropy, so
+    both directions terminate); above, it doubles the offset from min phi.
     """
+    if spec.family == ENTROPY:
+        def mass_of(lam):
+            return SQRT_2PI * float(np.exp(lam - phi.values).sum()) * phi.grid.d_theta
+    else:
+        def mass_of(lam):
+            return _power_map(phi, spec, lam, s, 0.0)
+    min_phi = float(phi.values.min())
     step = [1.0]
 
     def grow_lo(lo):
-        s = step[0]
-        step[0] = 2.0 * s
-        return lo - s
+        d = step[0]
+        step[0] = 2.0 * d
+        return lo - d
 
     def grow_hi(hi):
         return min_phi + 2.0 * (hi - min_phi)
 
-    return grow_lo, grow_hi
+    return _bisect_increasing(
+        mass_of, m1, min_phi + 1e-12, min_phi + 1.0, grow_lo, grow_hi,
+        rel_tol=rel_tol, what=what,
+    )
 
 
 def solve_lambda_one(phi: Potential, spec: CasimirSpec, m1: float) -> float:
@@ -296,34 +298,7 @@ def solve_lambda_one(phi: Potential, spec: CasimirSpec, m1: float) -> float:
     """
     if not m1 > 0.0:
         raise ValueError("m1 must be positive")
-    min_phi = float(phi.values.min())
-    grow_lo, grow_hi = _lambda_bracket_growers(min_phi)
-    return _bisect_increasing(
-        lambda lam: _profile_mass(phi, spec, lam, None),
-        m1,
-        min_phi + 1e-12,
-        min_phi + 1.0,
-        grow_lo,
-        grow_hi,
-        rel_tol=1e-10,
-        what="solve_lambda_one",
-    )
-
-
-def _lambda_of_mu(phi: Potential, spec: CasimirSpec, m1: float, mu: float) -> float:
-    """Inner loop of the two-constraint solve: lambda with mass = m1 at fixed mu."""
-    min_phi = float(phi.values.min())
-    grow_lo, grow_hi = _lambda_bracket_growers(min_phi)
-    return _bisect_increasing(
-        lambda lam: _profile_mass(phi, spec, lam, -mu),
-        m1,
-        min_phi + 1e-12,
-        min_phi + 1.0,
-        grow_lo,
-        grow_hi,
-        rel_tol=1e-12,
-        what="lambda(mu)",
-    )
+    return _solve_lambda(phi, spec, m1, 1.0, 1e-10, "solve_lambda_one")
 
 
 def solve_multipliers_two(
@@ -341,9 +316,11 @@ def solve_multipliers_two(
     if constraints.mj is None:
         raise ValueError("two-constraint solve requires mj")
 
+    def lambda_of_mu(mu: float) -> float:
+        return _solve_lambda(phi, spec, constraints.m1, -mu, 1e-12, "lambda(mu)")
+
     def casimir_of_mu(mu: float) -> float:
-        lam = _lambda_of_mu(phi, spec, constraints.m1, mu)
-        return _profile_casimir(phi, spec, lam, -mu)
+        return _power_map(phi, spec, lambda_of_mu(mu), -mu, 1.0)
 
     mu = _bisect_increasing(
         casimir_of_mu,
@@ -355,7 +332,7 @@ def solve_multipliers_two(
         rel_tol=1e-10,
         what="solve_multipliers_two",
     )
-    return Multipliers(lam=_lambda_of_mu(phi, spec, constraints.m1, mu), mu=mu)
+    return Multipliers(lam=lambda_of_mu(mu), mu=mu)
 
 
 def solve_state_multipliers(
@@ -404,6 +381,36 @@ def auxiliary_energy_one(phi: Potential, spec: CasimirSpec, lam: float) -> float
 # ---------------------------------------------------------------------------
 
 
+def _damped_fixed_point(phi0, update, damping, tol, max_iter, what, hint=""):
+    """Damped fixed-point iteration phi <- (1 - damping) phi + damping phi_F.
+
+    update(phi) returns (phi_F, payload).  The iteration stops at the first
+    phi whose defect sup|phi_F - phi| is at most tol and returns (phi,
+    payload, iterations, damping * defect); past max_iter steps it raises
+    ConvergenceError naming `what`, followed by `hint`.
+    """
+    if not 0.0 < damping <= 1.0:
+        raise ValueError("damping must lie in (0, 1]")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    g = phi0.grid
+    phi = phi0
+    for iterations in range(1, max_iter + 1):
+        phi_f, payload = update(phi)
+        defect = float(np.max(np.abs(phi_f.values - phi.values)))
+        if defect <= tol:
+            return phi, payload, iterations, damping * defect
+        phi = Potential(
+            g,
+            (1.0 - damping) * phi.values + damping * phi_f.values,
+            (1.0 - damping) * phi.derivative + damping * phi_f.derivative,
+        )
+    raise ConvergenceError(
+        f"{what} did not converge in {max_iter} steps "
+        f"(last defect {defect:g}){hint}"
+    )
+
+
 def self_consistent_solve(
     spec: CasimirSpec,
     constraints: ConstraintSet,
@@ -422,7 +429,7 @@ def self_consistent_solve(
             damping phi_{F^{phi_k}}.
         tol: stop when the self-consistency defect sup|phi_{F^phi} - phi|
             drops to tol (the applied increment is damping times that).
-        max_iter: iteration cap, raising ConvergenceError past it.
+        max_iter: iteration cap (at least 1), raising ConvergenceError past it.
 
     Returns:
         SteadyStateResult with the field, its potential, multipliers, the
@@ -430,38 +437,28 @@ def self_consistent_solve(
         velocity truncation discards.  The state is rolled so the potential
         minimum sits at theta = pi, fixing the translation freedom.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
-    g = seed_potential.grid
-    phi = seed_potential
-    for iterations in range(1, max_iter + 1):
+    def update(phi):
         mult = solve_state_multipliers(phi, spec, constraints)
         field = build_F_phi(phi, spec, mult)
-        phi_f = solve_potential(field)
-        defect = float(np.max(np.abs(phi_f.values - phi.values)))
-        if defect <= tol:
-            shift = (g.n_theta // 2 - int(np.argmin(phi.values))) % g.n_theta
-            tail = profile_moments(phi, spec, mult).tail_mass
-            return SteadyStateResult(
-                field=DistributionField(g, np.roll(field.values, shift, axis=0)),
-                potential=Potential(
-                    g,
-                    np.roll(phi.values, shift),
-                    np.roll(phi.derivative, shift),
-                ),
-                multipliers=mult,
-                fixed_point_residual=damping * defect,
-                iterations=iterations,
-                discarded_tail_mass=tail,
-            )
-        phi = Potential(
+        return solve_potential(field), (mult, field)
+
+    phi, (mult, field), iterations, residual = _damped_fixed_point(
+        seed_potential, update, damping, tol, max_iter,
+        "self-consistent iteration", "; consider a smaller damping",
+    )
+    g = phi.grid
+    shift = (g.n_theta // 2 - int(np.argmin(phi.values))) % g.n_theta
+    return SteadyStateResult(
+        field=DistributionField(g, np.roll(field.values, shift, axis=0)),
+        potential=Potential(
             g,
-            (1.0 - damping) * phi.values + damping * phi_f.values,
-            (1.0 - damping) * phi.derivative + damping * phi_f.derivative,
-        )
-    raise ConvergenceError(
-        f"self-consistent iteration did not converge in {max_iter} steps "
-        f"(last defect {defect:g}); consider a smaller damping"
+            np.roll(phi.values, shift),
+            np.roll(phi.derivative, shift),
+        ),
+        multipliers=mult,
+        fixed_point_residual=residual,
+        iterations=iterations,
+        discarded_tail_mass=profile_moments(phi, spec, mult).tail_mass,
     )
 
 
@@ -478,10 +475,10 @@ def ode_force(spec: CasimirSpec, m1: float, e):
     """
     e = np.asarray(e, dtype=float)
     if spec.family == ENTROPY:
-        out = SQRT_TWO_PI * np.exp(-e) - m1 / TWO_PI
+        out = SQRT_2PI * np.exp(-e) - m1 / TWO_PI
     else:
         k = 1.0 / (spec.p - 1.0)
-        c = 2.0 * math.sqrt(2.0) * _beta_half(k) * spec.p ** (-k)
+        c = _power_coefficient(k, spec.p)
         out = c * np.maximum(-e, 0.0) ** (k + 0.5) - m1 / TWO_PI
     return out if out.ndim else float(out)
 
@@ -491,10 +488,10 @@ def ode_force_primitive(spec: CasimirSpec, m1: float, e):
     (1/2) psi'**2 - primitive(psi)."""
     e = np.asarray(e, dtype=float)
     if spec.family == ENTROPY:
-        out = -SQRT_TWO_PI * np.exp(-e) - m1 * e / TWO_PI
+        out = -SQRT_2PI * np.exp(-e) - m1 * e / TWO_PI
     else:
         k = 1.0 / (spec.p - 1.0)
-        c = 2.0 * math.sqrt(2.0) * _beta_half(k) * spec.p ** (-k)
+        c = _power_coefficient(k, spec.p)
         out = -c * np.maximum(-e, 0.0) ** (k + 1.5) / (k + 1.5) - m1 * e / TWO_PI
     return out if out.ndim else float(out)
 

@@ -120,6 +120,26 @@ def test_nonconvergence_exits_two(tmp_path, monkeypatch, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("grid.n_theta", "4"),
+    ("grid.v_max", "0"),
+    ("solver.damping", "0"),
+    ("solver.max_iter", "0"),
+    ("solver.tol", "-1"),
+])
+def test_out_of_range_config_value_exits_one(tmp_path, monkeypatch, capsys,
+                                             key, value):
+    monkeypatch.chdir(tmp_path)
+    keys = {"grid.n_theta": "16", "grid.n_v": "16", "constraints.m1": "3.0",
+            "solver.max_iter": "3", key: value}
+    cfg = write_cfg(tmp_path, "".join("%s = %s\n" % kv for kv in keys.items()))
+    assert main(["steady", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert key in err
+    assert run_dirs(tmp_path) == []
+
+
 # ---------------------------------------------------------------------------
 # evolve
 
@@ -293,6 +313,20 @@ def test_diag_missing_snapshot_exits_one(tmp_path, capsys):
     assert main(["diag", "--config", cfg,
                  "--input", str(tmp_path / "ghost.snap")]) == 1
     assert "cannot read snapshot" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "HMFP0 8 8 6 0\n" + "1 " * 64 + "\n",
+    "HMFP1 8 8 6 0\n" + "1 " * 63 + "\n",
+], ids=["bad_magic", "short_data"])
+def test_malformed_snapshot_exits_one(tmp_path, capsys, text):
+    snap = tmp_path / "bad.snap"
+    snap.write_text(text)
+    cfg = write_cfg(tmp_path, "casimir = entropy\n")
+    assert main(["diag", "--config", cfg, "--input", str(snap)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "cannot read snapshot" in err
 
 
 # ---------------------------------------------------------------------------

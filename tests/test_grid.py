@@ -13,7 +13,6 @@ from hmfp import (
     load_snapshot,
     make_grid,
     save_snapshot,
-    velocity_moment,
     weighted_l1_distance,
 )
 
@@ -99,15 +98,6 @@ def test_integrate_gaussian_matches_closed_form():
     g = make_grid(64, 256, 6.0)
     f = field_from_function(g, lambda t, v: np.exp(-0.5 * v * v))
     assert integrate(f) == pytest.approx(TWO_PI * math.sqrt(TWO_PI), rel=1e-8)
-
-
-def test_velocity_moments_of_maxwellian():
-    g = make_grid(32, 512, 8.0)
-    f = maxwellian(g, TWO_PI)
-    assert velocity_moment(f, 0) == pytest.approx(TWO_PI, rel=1e-10)
-    assert velocity_moment(f, 1) == pytest.approx(0.0, abs=1e-13)
-    # <v^2> = mass for a unit-variance Maxwellian
-    assert velocity_moment(f, 2) == pytest.approx(TWO_PI, rel=1e-9)
 
 
 def test_field_from_function_samples_cell_centers():

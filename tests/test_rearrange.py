@@ -7,7 +7,6 @@ import pytest
 
 from hmfp import (
     DistributionField,
-    EnergyMeasure,
     MonotoneProfile,
     Potential,
     beta_overlap,
@@ -15,7 +14,6 @@ from hmfp import (
     convex_B,
     compose_profile,
     distribution_function,
-    energy_measure,
     entropy_spec,
     equimeasurability_defect,
     equimeasurable_minimize,
@@ -23,7 +21,6 @@ from hmfp import (
     inverse_sublevel_measure,
     level_band_defect,
     level_grid,
-    load_profile,
     make_grid,
     mass,
     microscopic_energy_pairing,
@@ -31,7 +28,6 @@ from hmfp import (
     pseudo_inverse,
     rearrange_with_energy,
     rearranged_energy_integral,
-    save_profile,
     solve_potential,
     sublevel_measure_a,
 )
@@ -83,15 +79,6 @@ def test_monotone_profile_validation():
         MonotoneProfile(np.array([0.0, 1.0]), np.array([0.5, 1.0]))
     with pytest.raises(ValueError):
         MonotoneProfile(np.array([0.0, 1.0]), np.array([1.0, 0.5]), rule="spline")
-
-
-def test_profile_round_trip(tmp_path):
-    prof = MonotoneProfile(np.array([0.0, 0.5, 2.5]), np.array([2.0, 1.0, 0.25]))
-    path = tmp_path / "prof.csv"
-    save_profile(prof, path)
-    back = load_profile(path)
-    assert np.array_equal(back.breakpoints, prof.breakpoints)
-    assert np.array_equal(back.values, prof.values)
 
 
 def test_distribution_function_counts_cells():
@@ -153,16 +140,6 @@ def test_inverse_measure_round_trip_and_bounds():
     hi = s ** 2 / (32.0 * math.pi ** 2) + float(phi.values.max())
     assert np.all(e >= lo - 1e-12)
     assert np.all(e <= hi + 1e-12)
-
-
-def test_energy_measure_tabulation():
-    g = make_grid(32, 32, 6.0)
-    phi = cosine_potential(g)
-    em = energy_measure(phi)
-    assert np.all(np.diff(em.a_values) >= 0.0)
-    assert em.a(1.0) == sublevel_measure_a(phi, 1.0)
-    with pytest.raises(ValueError):
-        EnergyMeasure(phi, np.array([1.0, 1.0]), np.array([0.0, 1.0]))
 
 
 def test_convex_B_flat_closed_form():

@@ -16,6 +16,7 @@ from hmfp import (
     build_F_phi,
     casimir_integral,
     entropy_spec,
+    equimeasurable_minimize,
     free_energy_J,
     hamiltonian,
     make_grid,
@@ -224,6 +225,18 @@ def test_nonconvergence_raises():
             entropy_spec(), ConstraintSet(m1=1.0), seed_potential(g, 0.0),
             damping=0.0,
         )
+
+
+@pytest.mark.parametrize("solve", [
+    lambda g: self_consistent_solve(
+        entropy_spec(), ConstraintSet(m1=1.0), seed_potential(g, 0.0),
+        max_iter=0),
+    lambda g: equimeasurable_minimize(
+        smooth_random_field(g, seed=3), max_iter=0),
+], ids=["self_consistent_solve", "equimeasurable_minimize"])
+def test_zero_iteration_cap_is_rejected(solve):
+    with pytest.raises(ValueError, match="max_iter"):
+        solve(make_grid(16, 16, 6.0))
 
 
 def test_monotone_chain_two_constraint():
