@@ -9,8 +9,7 @@ script drives config-based experiment runs.
 """
 
 from .casimir import (CasimirSpec, check_h3_ratio, entropy_spec,
-                      parse_casimir, positive_part_inverse_derivative,
-                      power_spec)
+                      parse_casimir, power_spec)
 from .errors import ConfigError, ConvergenceError, SolverAbort
 from .functionals import (DiagnosticsRecord, casimir_integral,
                           csiszar_kullback_gap, diagnostics, free_energy_J,

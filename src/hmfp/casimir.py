@@ -3,11 +3,9 @@
 Two builtin families cover the steady-state constructions: the entropy
 generator j(t) = t*log(t), which drives Maxwell-Boltzmann profiles through
 its exponential inverse, and the power generators j(t) = t**p with p > 1,
-whose inverse derivative is a positive part raised to 1/(p-1).  Each family
-records which structural hypotheses it satisfies: h1 (j'(0) = 0 with a
-genuine inverse on [0, inf)), h2 (superlinear growth), h3 (two-sided power
-bounds t*j'(t)/j(t) in [p, q]); the multiplier and rearrangement solvers
-branch on these flags instead of re-deriving them.
+whose inverse derivative is a positive part raised to 1/(p-1).  Only the
+power family has j'(0) = 0 and the power bound t*j'(t)/j(t) = p that the
+two-constraint solves need, so those solvers check the family.
 """
 
 from __future__ import annotations
@@ -22,23 +20,15 @@ POWER = "power"
 
 @dataclass(frozen=True)
 class CasimirSpec:
-    """One convex generator with its derived maps and hypothesis flags.
+    """One convex generator with its derived maps.
 
     Attributes:
         family: "entropy" or "power".
         p: growth exponent for the power family (None for entropy).
-        q: upper exponent of the two-sided power bound; equals p here.
-        h1: j' vanishes at 0 and is invertible on the positive axis.
-        h2: j grows superlinearly.
-        h3: t*j'(t)/j(t) stays in [p, q] for all t > 0.
     """
 
     family: str
     p: float | None
-    q: float | None
-    h1: bool
-    h2: bool
-    h3: bool
 
     def j(self, t):
         """Evaluate the generator; j(0) = 0 by continuity in both families."""
@@ -80,15 +70,15 @@ class CasimirSpec:
 
 def entropy_spec() -> CasimirSpec:
     """The t*log(t) generator (superlinear, but j'(0) diverges)."""
-    return CasimirSpec(family=ENTROPY, p=None, q=None, h1=False, h2=True, h3=False)
+    return CasimirSpec(family=ENTROPY, p=None)
 
 
 def power_spec(p: float) -> CasimirSpec:
-    """The t**p generator for p > 1; satisfies all three hypotheses with q = p."""
+    """The t**p generator for p > 1."""
     p = float(p)
     if not p > 1.0:
         raise ValueError(f"power exponent must exceed 1, got {p}")
-    return CasimirSpec(family=POWER, p=p, q=p, h1=True, h2=True, h3=True)
+    return CasimirSpec(family=POWER, p=p)
 
 
 def parse_casimir(text: str) -> CasimirSpec:
@@ -116,30 +106,11 @@ def parse_casimir(text: str) -> CasimirSpec:
     raise ValueError(f'casimir must be "entropy" or "power:<p>", got {text!r}')
 
 
-def positive_part_inverse_derivative(spec: CasimirSpec, s):
-    """Apply (j')^{-1} to the positive part of s; the profile-building map.
-
-    Args:
-        spec: generator with h1 (the entropy family is rejected because its
-            inverse derivative never reaches 0 and the exponential branch is
-            used instead).
-        s: scalar or array argument.
-
-    Returns:
-        (j')^{-1}(max(s, 0)); identically 0 where s <= 0.
-    """
-    if not spec.h1:
-        raise ValueError("positive-part inversion needs h1; entropy uses the exponential branch")
-    s = np.asarray(s, dtype=float)
-    out = (np.maximum(s, 0.0) / spec.p) ** (1.0 / (spec.p - 1.0))
-    return out if out.ndim else float(out)
-
-
 def check_h3_ratio(spec: CasimirSpec, samples) -> tuple[float, float]:
     """Extremes of t*j'(t)/j(t) over positive samples.
 
-    For the power family the ratio is identically p; for entropy it is
-    1 + 1/log(t), unbounded near t = 1, which is why h3 is false there.
+    For the power family the ratio is identically p (the paper's H3
+    bound); for entropy it is 1 + 1/log(t), unbounded near t = 1.
     """
     t = np.asarray(samples, dtype=float)
     if np.any(t <= 0.0):

@@ -39,8 +39,12 @@ def _sweep_configs(cfg, sweep):
     key, sep, values = sweep.partition("=")
     if not sep or not values:
         raise ConfigError("--sweep wants key=v1,v2,..., got %r" % sweep)
-    return [cfg.with_value(key.strip(), v.strip())
-            for v in values.split(",")]
+    jobs = [cfg.with_value(key.strip(), v.strip()) for v in values.split(",")]
+    dirs = [job.hash_prefix() for job in jobs]
+    for d in dirs:
+        if dirs.count(d) > 1:
+            raise ConfigError("--sweep variants share run directory %s" % d)
+    return jobs
 
 
 def _dispatch(command, cfg, input_path):

@@ -93,7 +93,7 @@ class ExperimentConfig:
         try:
             self.grid()
         except ValueError as exc:
-            # PhaseGrid names the offending attribute first
+            # PhaseGrid and SolverConfig name the offending attribute first
             raise ConfigError("grid.%s" % exc) from exc
         if self.m1 is not None and not self.m1 > 0.0:
             raise ConfigError("constraints.m1 must be positive")
@@ -114,6 +114,10 @@ class ExperimentConfig:
             raise ConfigError("solver.tol must be nonnegative")
         if self.max_iter < 1:
             raise ConfigError("solver.max_iter must be at least 1")
+        try:
+            self.solver_config()
+        except ValueError as exc:
+            raise ConfigError("solver.%s" % exc) from exc
 
     def grid(self):
         return PhaseGrid(self.n_theta, self.n_v, self.v_max)
@@ -127,12 +131,9 @@ class ExperimentConfig:
         return ConstraintSet(m1=self.m1, mj=self.mj)
 
     def solver_config(self):
-        try:
-            return SolverConfig(dt=self.dt, t_end=self.t_end,
-                                interpolation=self.interpolation,
-                                record_every=self.record_every)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return SolverConfig(dt=self.dt, t_end=self.t_end,
+                            interpolation=self.interpolation,
+                            record_every=self.record_every)
 
     def canonical_text(self):
         """Every key in sorted order at its resolved value."""

@@ -9,11 +9,14 @@ are second order in d_v and exact for periodic trigonometric modes in theta.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
 
+@dataclass(frozen=True)
 class PhaseGrid:
     """Uniform cell-centered discretization of the (theta, v) phase space.
 
@@ -22,18 +25,24 @@ class PhaseGrid:
     compare equal when their (n_theta, n_v, v_max) triples match.
     """
 
-    __slots__ = ("n_theta", "n_v", "v_max", "d_theta", "d_v", "theta", "v")
+    n_theta: int
+    n_v: int
+    v_max: float
+    d_theta: float = field(init=False, compare=False, repr=False)
+    d_v: float = field(init=False, compare=False, repr=False)
+    theta: np.ndarray = field(init=False, compare=False, repr=False)
+    v: np.ndarray = field(init=False, compare=False, repr=False)
 
-    def __init__(self, n_theta: int, n_v: int, v_max: float):
-        if n_theta < 8:
-            raise ValueError(f"n_theta must be at least 8, got {n_theta}")
-        if n_v < 8:
-            raise ValueError(f"n_v must be at least 8, got {n_v}")
-        if not v_max > 0:
-            raise ValueError(f"v_max must be positive, got {v_max}")
-        object.__setattr__(self, "n_theta", int(n_theta))
-        object.__setattr__(self, "n_v", int(n_v))
-        object.__setattr__(self, "v_max", float(v_max))
+    def __post_init__(self):
+        if self.n_theta < 8:
+            raise ValueError(f"n_theta must be at least 8, got {self.n_theta}")
+        if self.n_v < 8:
+            raise ValueError(f"n_v must be at least 8, got {self.n_v}")
+        if not self.v_max > 0:
+            raise ValueError(f"v_max must be positive, got {self.v_max}")
+        object.__setattr__(self, "n_theta", int(self.n_theta))
+        object.__setattr__(self, "n_v", int(self.n_v))
+        object.__setattr__(self, "v_max", float(self.v_max))
         object.__setattr__(self, "d_theta", TWO_PI / self.n_theta)
         object.__setattr__(self, "d_v", 2.0 * self.v_max / self.n_v)
         theta = self.d_theta * np.arange(self.n_theta)
@@ -43,26 +52,9 @@ class PhaseGrid:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "v", v)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PhaseGrid is immutable")
-
     @property
     def cell_area(self) -> float:
         return self.d_theta * self.d_v
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PhaseGrid)
-            and self.n_theta == other.n_theta
-            and self.n_v == other.n_v
-            and self.v_max == other.v_max
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n_theta, self.n_v, self.v_max))
-
-    def __repr__(self) -> str:
-        return f"PhaseGrid(n_theta={self.n_theta}, n_v={self.n_v}, v_max={self.v_max})"
 
 
 def make_grid(n_theta: int, n_v: int, v_max: float) -> PhaseGrid:
@@ -70,6 +62,7 @@ def make_grid(n_theta: int, n_v: int, v_max: float) -> PhaseGrid:
     return PhaseGrid(n_theta, n_v, v_max)
 
 
+@dataclass(frozen=True, eq=False)
 class DistributionField:
     """Nonnegative sampled phase-space density f(theta, v) on a PhaseGrid.
 
@@ -78,26 +71,22 @@ class DistributionField:
     run without defensive copies.
     """
 
-    __slots__ = ("grid", "values")
+    grid: PhaseGrid
+    values: np.ndarray
 
-    def __init__(self, grid: PhaseGrid, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.n_theta, grid.n_v):
+    def __post_init__(self):
+        values = np.array(self.values, dtype=float, order="C")  # rows contiguous
+        if values.shape != (self.grid.n_theta, self.grid.n_v):
             raise ValueError(
                 f"values shape {values.shape} does not match grid "
-                f"({grid.n_theta}, {grid.n_v})"
+                f"({self.grid.n_theta}, {self.grid.n_v})"
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite")
         if np.any(values < 0):
             raise ValueError("field values must be nonnegative")
-        values = values.copy()
         values.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DistributionField is immutable")
 
     def __repr__(self) -> str:
         return f"DistributionField(grid={self.grid!r}, max={self.values.max():.6g})"
@@ -109,6 +98,7 @@ def field_from_function(grid: PhaseGrid, fn) -> DistributionField:
     return DistributionField(grid, fn(tt, vv))
 
 
+@dataclass(frozen=True, eq=False)
 class Potential:
     """Zero-mean periodic potential phi(theta) with its derivative samples.
 
@@ -117,25 +107,23 @@ class Potential:
     one.  Both arrays are frozen.
     """
 
-    __slots__ = ("grid", "values", "derivative")
+    grid: PhaseGrid
+    values: np.ndarray
+    derivative: np.ndarray
 
-    def __init__(self, grid: PhaseGrid, values: np.ndarray, derivative: np.ndarray):
-        values = np.asarray(values, dtype=float)
-        derivative = np.asarray(derivative, dtype=float)
-        if values.shape != (grid.n_theta,) or derivative.shape != (grid.n_theta,):
+    def __post_init__(self):
+        n = self.grid.n_theta
+        values = np.asarray(self.values, dtype=float)
+        derivative = np.array(self.derivative, dtype=float)
+        if values.shape != (n,) or derivative.shape != (n,):
             raise ValueError("potential arrays must have shape (n_theta,)")
         if not (np.all(np.isfinite(values)) and np.all(np.isfinite(derivative))):
             raise ValueError("potential values must be finite")
         values = values - values.mean()
         values.flags.writeable = False
-        derivative = derivative.copy()
         derivative.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "derivative", derivative)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Potential is immutable")
 
     def __repr__(self) -> str:
         return f"Potential(grid={self.grid!r}, range={np.ptp(self.values):.6g})"

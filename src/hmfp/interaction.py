@@ -69,14 +69,13 @@ class Density:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
         if values.shape != (self.grid.n_theta,):
             raise ValueError("density must have one value per theta node")
         if not np.all(np.isfinite(values)):
             raise ValueError("density values must be finite")
         if np.any(values < 0):
             raise ValueError("density values must be nonnegative")
-        values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 

@@ -26,10 +26,6 @@ from .grid import DistributionField, PhaseGrid, Potential
 from .interaction import solve_potential
 from .steady import SteadyStateResult, _damped_fixed_point
 
-STEP = "step"
-LINEAR = "linear"
-
-
 # ---------------------------------------------------------------------------
 # Monotone profiles
 # ---------------------------------------------------------------------------
@@ -37,30 +33,25 @@ LINEAR = "linear"
 
 @dataclass(frozen=True)
 class MonotoneProfile:
-    """Nonincreasing profile sampled at increasing breakpoints.
+    """Nonincreasing step profile sampled at increasing breakpoints.
 
-    rule selects the evaluation between breakpoints: "step" holds the value
-    of the breakpoint at or below the query (right-continuous), "linear"
-    interpolates.  Queries outside the breakpoints clamp to the end values.
+    A query takes the value of the breakpoint at or below it
+    (right-continuous); queries outside the breakpoints clamp to the end
+    values.
     """
 
     breakpoints: np.ndarray
     values: np.ndarray
-    rule: str = STEP
 
     def __post_init__(self):
-        b = np.asarray(self.breakpoints, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        b = np.array(self.breakpoints, dtype=float)
+        v = np.array(self.values, dtype=float)
         if b.ndim != 1 or b.shape != v.shape or b.size == 0:
             raise ValueError("breakpoints and values must be matching 1-d vectors")
         if b.size > 1 and not np.all(np.diff(b) > 0):
             raise ValueError("breakpoints must be strictly increasing")
         if v.size > 1 and np.any(np.diff(v) > 0):
             raise ValueError("profile values must be nonincreasing")
-        if self.rule not in (STEP, LINEAR):
-            raise ValueError(f"unknown evaluation rule {self.rule!r}")
-        b = b.copy()
-        v = v.copy()
         b.flags.writeable = False
         v.flags.writeable = False
         object.__setattr__(self, "breakpoints", b)
@@ -69,11 +60,8 @@ class MonotoneProfile:
     def evaluate(self, x):
         """Evaluate the profile at x (scalar or array)."""
         x = np.asarray(x, dtype=float)
-        if self.rule == LINEAR:
-            out = np.interp(x, self.breakpoints, self.values)
-        else:
-            idx = np.searchsorted(self.breakpoints, x, side="right") - 1
-            out = self.values[np.clip(idx, 0, self.values.size - 1)]
+        idx = np.searchsorted(self.breakpoints, x, side="right") - 1
+        out = self.values[np.clip(idx, 0, self.values.size - 1)]
         return out if out.ndim else float(out)
 
 
@@ -110,7 +98,7 @@ def distribution_function(f: DistributionField, levels) -> MonotoneProfile:
         raise ValueError("levels must be strictly increasing")
     flat = np.sort(f.values.ravel())
     counts = flat.size - np.searchsorted(flat, levels, side="right")
-    return MonotoneProfile(levels, counts * f.grid.cell_area, STEP)
+    return MonotoneProfile(levels, counts * f.grid.cell_area)
 
 
 def pseudo_inverse(mu: MonotoneProfile) -> MonotoneProfile:
@@ -128,7 +116,7 @@ def pseudo_inverse(mu: MonotoneProfile) -> MonotoneProfile:
     uniq = np.unique(xs)
     # among equal measures keep the smallest level: the last of each block
     last = np.searchsorted(xs, uniq, side="right") - 1
-    return MonotoneProfile(uniq, ts[last], STEP)
+    return MonotoneProfile(uniq, ts[last])
 
 
 # ---------------------------------------------------------------------------

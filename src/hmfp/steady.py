@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .casimir import ENTROPY, CasimirSpec, positive_part_inverse_derivative
+from .casimir import ENTROPY, POWER, CasimirSpec
 from .errors import ConvergenceError, SolverAbort
 from .functionals import casimir_integral
 from .grid import TWO_PI, DistributionField, PhaseGrid, Potential
@@ -203,7 +203,7 @@ def build_F_phi(
         values = np.exp(e)
     else:
         s = 1.0 if multipliers.mu is None else -multipliers.mu
-        values = positive_part_inverse_derivative(spec, e / s)
+        values = spec.inverse_derivative(np.maximum(e / s, 0.0))
     return DistributionField(g, values)
 
 
@@ -311,8 +311,8 @@ def solve_multipliers_two(
     it hits mj.  The outer bracket starts at [-1, -1e-6] and expands
     geometrically both ways.
     """
-    if not spec.h3:
-        raise ValueError("the two-constraint solve needs a generator with h3")
+    if spec.family != POWER:
+        raise ValueError("the two-constraint solve needs the power family")
     if constraints.mj is None:
         raise ValueError("two-constraint solve requires mj")
 
@@ -566,22 +566,20 @@ def renormalize_to_constraints(
     if constraints.mj is None:
         gamma = 1.0
     else:
-        if not spec.h3:
-            raise ValueError("the two-constraint renormalization needs h3")
+        if spec.family != POWER:
+            raise ValueError("the two-constraint renormalization needs the power family")
         target = constraints.mj * total / constraints.m1
         j_norm = float(spec.j(g.values).sum()) * grid.cell_area
 
         def casimir_per_gamma(gamma: float) -> float:
             return float(spec.j(gamma * g.values).sum()) * grid.cell_area / gamma
 
-        ratio = target / j_norm
-        lo = min(ratio ** (1.0 / (spec.p - 1.0)), ratio ** (1.0 / (spec.q - 1.0)))
-        hi = max(ratio ** (1.0 / (spec.p - 1.0)), ratio ** (1.0 / (spec.q - 1.0)))
+        exact = (target / j_norm) ** (1.0 / (spec.p - 1.0))  # root for j = t**p
         gamma = _bisect_increasing(
             casimir_per_gamma,
             target,
-            lo,
-            hi,
+            exact,
+            exact,
             lambda x: 0.5 * x,
             lambda x: 2.0 * x,
             rel_tol=1e-10,

@@ -9,7 +9,6 @@ from hmfp import (
     check_h3_ratio,
     entropy_spec,
     parse_casimir,
-    positive_part_inverse_derivative,
     power_spec,
 )
 
@@ -27,7 +26,7 @@ def test_entropy_generator_values():
 def test_power_generator_values():
     spec = power_spec(3.0)
     assert spec.family == "power"
-    assert spec.p == 3.0 and spec.q == 3.0
+    assert spec.p == 3.0
     assert spec.j(0.0) == 0.0
     assert spec.j(2.0) == 8.0
     assert spec.j_prime(2.0) == 12.0
@@ -56,22 +55,6 @@ def test_generators_are_convex():
     t = rng.uniform(1e-3, 10.0, size=100)
     for spec in (entropy_spec(), power_spec(1.5), power_spec(4.0)):
         assert np.all(spec.j_double_prime(t) > 0.0)
-
-
-def test_positive_part_inverse_power_only():
-    spec = power_spec(2.0)
-    s = np.array([-3.0, -1.0, 0.0, 2.0, 8.0])
-    out = positive_part_inverse_derivative(spec, s)
-    assert out == pytest.approx([0.0, 0.0, 0.0, 1.0, 4.0])
-    with pytest.raises(ValueError):
-        positive_part_inverse_derivative(entropy_spec(), s)
-
-
-def test_hypothesis_flags():
-    ent = entropy_spec()
-    pw = power_spec(2.0)
-    assert ent.h2 and not ent.h1 and not ent.h3
-    assert pw.h1 and pw.h2 and pw.h3
 
 
 def test_h3_ratio_constant_for_power():

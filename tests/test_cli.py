@@ -126,6 +126,12 @@ def test_nonconvergence_exits_two(tmp_path, monkeypatch, capsys):
     ("solver.damping", "0"),
     ("solver.max_iter", "0"),
     ("solver.tol", "-1"),
+    ("solver.dt", "0"),
+    ("solver.t_end", "-1"),
+    ("solver.t_end", "nan"),
+    ("solver.t_end", "inf"),
+    ("solver.interpolation", "quintic"),
+    ("solver.record_every", "0"),
 ])
 def test_out_of_range_config_value_exits_one(tmp_path, monkeypatch, capsys,
                                              key, value):
@@ -355,6 +361,23 @@ def test_sweep_bad_syntax_exits_one(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "constraints.m1 = 3.0\n")
     assert main(["steady", "--config", cfg, "--sweep", "m1"]) == 1
     assert "--sweep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep", [
+    "solver.dt=0.05,0.05",
+    "solver.dt=0.05,5e-2",
+    "constraints.m1=3.0,4.0,3",
+])
+def test_sweep_sharing_a_run_directory_exits_one(tmp_path, monkeypatch, capsys,
+                                                 sweep):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HMFP_THREADS", "1")
+    cfg = write_cfg(tmp_path,
+                    "grid.n_theta = 32\ngrid.n_v = 32\nconstraints.m1 = 3.0\n")
+    assert main(["steady", "--config", cfg, "--sweep", sweep]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "share run directory" in err
+    assert run_dirs(tmp_path) == []
 
 
 def test_bad_thread_cap_exits_one(tmp_path, monkeypatch, capsys):

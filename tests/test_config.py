@@ -76,12 +76,10 @@ def test_missing_mass_constraint_is_named_on_use():
 
 
 def test_solver_config_bounds_are_reported_as_config_errors():
-    cfg = parse_config("solver.dt = 0.7\n")
-    with pytest.raises(ConfigError):
-        cfg.solver_config()
-    cfg2 = parse_config("solver.record_every = 0\n")
-    with pytest.raises(ConfigError):
-        cfg2.solver_config()
+    with pytest.raises(ConfigError, match="solver.dt"):
+        parse_config("solver.dt = 0.7\n")
+    with pytest.raises(ConfigError, match="solver.record_every"):
+        parse_config("solver.record_every = 0\n")
 
 
 def test_grid_and_constraint_helpers():

@@ -66,10 +66,6 @@ def test_monotone_profile_rules():
     assert prof.evaluate(0.5) == 3.0  # step rule holds the left value
     assert prof.evaluate(1.0) == 2.0
     assert prof.evaluate(-5.0) == 3.0 and prof.evaluate(9.0) == 0.5
-    lin = MonotoneProfile(
-        np.array([0.0, 1.0, 2.0]), np.array([3.0, 2.0, 0.5]), rule="linear"
-    )
-    assert lin.evaluate(0.5) == pytest.approx(2.5)
 
 
 def test_monotone_profile_validation():
@@ -77,8 +73,6 @@ def test_monotone_profile_validation():
         MonotoneProfile(np.array([0.0, 0.0]), np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
         MonotoneProfile(np.array([0.0, 1.0]), np.array([0.5, 1.0]))
-    with pytest.raises(ValueError):
-        MonotoneProfile(np.array([0.0, 1.0]), np.array([1.0, 0.5]), rule="spline")
 
 
 def test_distribution_function_counts_cells():

@@ -9,7 +9,6 @@ from hmfp import (
     Potential,
     SolverAbort,
     SolverConfig,
-    StepLosses,
     advect_theta,
     advect_v,
     entropy_spec,
@@ -299,7 +298,17 @@ def test_evolve_aborts_on_nonfinite_force():
         evolve(f, SolverConfig(dt=0.1, t_end=0.5))
 
 
-def test_step_losses_add_componentwise():
-    total = StepLosses(1.0, 2.0) + StepLosses(3.0, 4.5)
-    assert total.outflow == 4.0
-    assert total.clipped_mass == 6.5
+def test_evolve_totals_sum_the_step_losses():
+    # a narrow velocity box, so both tallies are nonzero in cubic mode
+    f = wavy_gaussian(make_grid(32, 32, 2.5))
+    res = evolve(f, SolverConfig(dt=0.2, t_end=0.6, interpolation="cubic"))
+    m0 = mass(f)
+    outflow = clipped = 0.0
+    for _ in range(3):
+        f, losses = strang_step(f, 0.2, "cubic")
+        outflow += losses.outflow
+        clipped += losses.clipped_mass
+        f = DistributionField(f.grid, f.values * (m0 / mass(f)))
+    assert outflow > 0.0 and clipped > 0.0
+    assert res.boundary_loss == outflow
+    assert res.clipped_mass == clipped
