@@ -9,8 +9,9 @@ second-order convergence of the composition.
 
 import numpy as np
 
-from hmfp import (SolverConfig, entropy_spec, evolve, field_from_function,
-                  make_grid, weighted_l1_distance)
+from hmfp.casimir import entropy_spec
+from hmfp.grid import field_from_function, make_grid, weighted_l1_distance
+from hmfp.solver import SolverConfig, evolve
 
 spec = entropy_spec()
 

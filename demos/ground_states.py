@@ -11,12 +11,14 @@ import math
 
 import numpy as np
 
-from hmfp import (ConstraintSet, DistributionField, Potential,
-                  auxiliary_energy_two, build_F_phi, entropy_spec, hamiltonian,
-                  make_grid, mass, ode_profile_solve, power_spec,
-                  profile_moments, renormalize_to_constraints,
-                  self_consistent_solve, solve_potential,
-                  solve_state_multipliers)
+from hmfp.casimir import entropy_spec, power_spec
+from hmfp.functionals import hamiltonian, mass
+from hmfp.grid import DistributionField, Potential, make_grid
+from hmfp.interaction import solve_potential
+from hmfp.steady import (ConstraintSet, auxiliary_energy_two, build_F_phi,
+                         ode_profile_solve, profile_moments,
+                         renormalize_to_constraints, self_consistent_solve,
+                         solve_state_multipliers)
 
 g = make_grid(128, 128, 6.0)
 zero = Potential(g, np.zeros(g.n_theta), np.zeros(g.n_theta))

@@ -11,9 +11,11 @@ import math
 
 import numpy as np
 
-from hmfp import (ConstraintSet, DistributionField, Potential, SolverConfig,
-                  entropy_spec, evolve, make_grid, orbital_distance,
-                  self_consistent_solve)
+from hmfp.casimir import entropy_spec
+from hmfp.functionals import orbital_distance
+from hmfp.grid import DistributionField, Potential, make_grid
+from hmfp.solver import SolverConfig, evolve
+from hmfp.steady import ConstraintSet, self_consistent_solve
 
 g = make_grid(128, 128, 6.0)
 spec = entropy_spec()

@@ -12,13 +12,16 @@ import math
 
 import numpy as np
 
-from hmfp import (DistributionField, Potential, convex_B,
-                  distribution_function, equimeasurability_defect,
-                  hamiltonian, inverse_sublevel_measure, level_band_defect,
-                  level_grid, make_grid, mass, microscopic_energy_pairing,
-                  profile_pairing_integral, pseudo_inverse,
-                  rearrange_with_energy, rearranged_energy_integral,
-                  solve_potential, sublevel_measure_a)
+from hmfp.functionals import hamiltonian, mass
+from hmfp.grid import DistributionField, Potential, make_grid
+from hmfp.interaction import solve_potential
+from hmfp.rearrange import (convex_B, distribution_function,
+                            equimeasurability_defect, inverse_sublevel_measure,
+                            level_band_defect, level_grid,
+                            microscopic_energy_pairing,
+                            profile_pairing_integral, pseudo_inverse,
+                            rearrange_with_energy, rearranged_energy_integral,
+                            sublevel_measure_a)
 
 g = make_grid(64, 64, 6.0)
 rng = np.random.default_rng(11)

@@ -105,15 +105,3 @@ def parse_casimir(text: str) -> CasimirSpec:
         return power_spec(p)
     raise ValueError(f'casimir must be "entropy" or "power:<p>", got {text!r}')
 
-
-def check_h3_ratio(spec: CasimirSpec, samples) -> tuple[float, float]:
-    """Extremes of t*j'(t)/j(t) over positive samples.
-
-    For the power family the ratio is identically p (the paper's H3
-    bound); for entropy it is 1 + 1/log(t), unbounded near t = 1.
-    """
-    t = np.asarray(samples, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("h3 ratio samples must be positive")
-    r = t * spec.j_prime(t) / spec.j(t)
-    return float(r.min()), float(r.max())

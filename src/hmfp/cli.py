@@ -5,8 +5,9 @@
 Commands: steady, evolve, stability, rearrange, diag.  A sweep fans the
 run out over the listed values of one config key, each variant fully
 isolated in its own hash-named directory; HMFP_THREADS caps the worker
-pool.  Exit codes: 0 success, 1 config or I/O trouble, 2 an iterative
-solve failed to converge, 3 the time integrator aborted.
+pool, and the variants' result lines come in the listed order.  Exit
+codes: 0 success, 1 config or I/O trouble, 2 an iterative solve failed to
+converge, 3 the time integrator aborted.
 """
 
 import argparse
@@ -48,26 +49,26 @@ def _sweep_configs(cfg, sweep):
 
 
 def _dispatch(command, cfg, input_path):
+    """Run one job and return its one-line summary."""
     if command == "steady":
         out, result = run_steady(cfg)
-        print("%s: lambda = %.10g, residual = %.3e, %d iterations"
-              % (out, result.multipliers.lam, result.fixed_point_residual,
-                 result.iterations))
-    elif command == "evolve":
+        return ("%s: lambda = %.10g, residual = %.3e, %d iterations"
+                % (out, result.multipliers.lam, result.fixed_point_residual,
+                   result.iterations))
+    if command == "evolve":
         out, result = run_evolve(cfg, input_path)
-        print("%s: %d steps to t = %.6g, boundary loss %.3e"
-              % (out, result.steps, result.time, result.boundary_loss))
-    elif command == "stability":
+        return ("%s: %d steps to t = %.6g, boundary loss %.3e"
+                % (out, result.steps, result.time, result.boundary_loss))
+    if command == "stability":
         out, sup = run_stability(cfg, input_path)
-        print("%s: sup orbital distance = %.10g" % (out, sup))
-    elif command == "rearrange":
+        return "%s: sup orbital distance = %.10g" % (out, sup)
+    if command == "rearrange":
         out, banded = run_rearrange(cfg, input_path)
-        print("%s: banded equimeasurability defect = %.10g" % (out, banded))
-    elif command == "diag":
+        return "%s: banded equimeasurability defect = %.10g" % (out, banded)
+    if command == "diag":
         out, rec = run_diag(cfg, input_path)
-        print("%s: %s" % (out, rec.to_csv()))
-    else:
-        raise ConfigError("unknown command %r" % command)
+        return "%s: %s" % (out, rec.to_csv())
+    raise ConfigError("unknown command %r" % command)
 
 
 def main(argv=None):
@@ -93,14 +94,16 @@ def main(argv=None):
         cfg = load_config(args.config)
         jobs = _sweep_configs(cfg, args.sweep)
         if len(jobs) == 1:
-            _dispatch(args.command, jobs[0], args.input)
+            print(_dispatch(args.command, jobs[0], args.input))
         else:
             workers = _worker_count(len(jobs))
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_dispatch, args.command, job, args.input)
                            for job in jobs]
+                # the workers only return their lines, so the output is
+                # whole lines in the listed order
                 for fut in futures:
-                    fut.result()
+                    print(fut.result())
     except ConfigError as exc:
         print("hmfp: %s" % exc, file=sys.stderr)
         return _EXIT_CONFIG

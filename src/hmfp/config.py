@@ -8,6 +8,7 @@ text, which names the per-run output directory.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 from .casimir import parse_casimir
@@ -102,8 +103,15 @@ class ExperimentConfig:
         if self.kind not in _PERTURBATION_KINDS:
             raise ConfigError("perturbation.kind must be one of %s"
                               % ", ".join(_PERTURBATION_KINDS))
-        if self.amplitude < 0.0:
-            raise ConfigError("perturbation.amplitude must be nonnegative")
+        if not math.isfinite(self.seed_amplitude):
+            raise ConfigError("seed.amplitude must be finite")
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
+            raise ConfigError(
+                "perturbation.amplitude must be finite and nonnegative")
+        # 1 + a cos(theta) must stay nonnegative
+        if self.kind == "density_bump" and self.amplitude > 1.0:
+            raise ConfigError(
+                "perturbation.amplitude must be at most 1 for density_bump")
         if self.phi_source not in _PHI_SOURCES:
             raise ConfigError("rearrange.phi must be 'self' or 'zero'")
         if self.snapshot_every < 0:

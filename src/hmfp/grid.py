@@ -129,11 +129,6 @@ class Potential:
         return f"Potential(grid={self.grid!r}, range={np.ptp(self.values):.6g})"
 
 
-def integrate(field: DistributionField) -> float:
-    """Midpoint quadrature of the field over the whole phase space."""
-    return float(field.values.sum()) * field.grid.cell_area
-
-
 def weighted_l1_distance(f: DistributionField, g: DistributionField) -> float:
     """(1 + v^2)-weighted L1 distance between two fields on the same grid."""
     if f.grid != g.grid:

@@ -79,9 +79,6 @@ class Density:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    def mass(self) -> float:
-        return float(self.values.sum()) * self.grid.d_theta
-
 
 def density(f: DistributionField) -> Density:
     """Integrate a field over v to a line density (midpoint rule per row)."""

@@ -206,15 +206,6 @@ def microscopic_energy_pairing(f: DistributionField, phi: Potential) -> float:
     return (kin + pot) * g.cell_area
 
 
-def beta_overlap(f: DistributionField, g: DistributionField, t: float) -> float:
-    """Measure of the cells where f <= t < g."""
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    if t < 0.0:
-        raise ValueError("the level t must be nonnegative")
-    return float(np.count_nonzero((f.values <= t) & (g.values > t))) * f.grid.cell_area
-
-
 def equimeasurability_defect(
     f: DistributionField, g: DistributionField, levels
 ) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .casimir import ENTROPY, POWER, CasimirSpec
 from .errors import ConvergenceError, SolverAbort
-from .functionals import casimir_integral
+from .functionals import casimir_integral, kinetic_energy, potential_energy
 from .grid import TWO_PI, DistributionField, PhaseGrid, Potential
 from .interaction import density, solve_potential
 
@@ -361,11 +361,8 @@ def auxiliary_energy_two(
     exact half squared L2 distance of the two field derivatives.
     """
     F = build_F_phi(phi, spec, multipliers)
-    g = phi.grid
-    transport = 0.5 * float((F.values @ (g.v ** 2)).sum()) * g.cell_area
-    pairing = float(phi.values @ density(F).values) * g.d_theta
-    half_field = 0.5 * float(phi.derivative @ phi.derivative) * g.d_theta
-    return transport + pairing + half_field
+    pairing = float(phi.values @ density(F).values) * phi.grid.d_theta
+    return kinetic_energy(F) + pairing + potential_energy(F, phi)
 
 
 def auxiliary_energy_one(phi: Potential, spec: CasimirSpec, lam: float) -> float:

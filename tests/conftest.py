@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from hmfp import DistributionField, make_grid
+from hmfp.grid import DistributionField, make_grid
 
 TWO_PI = 2.0 * math.pi
 SQRT_TWO_PI = math.sqrt(TWO_PI)

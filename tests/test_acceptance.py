@@ -10,38 +10,42 @@ import time
 import numpy as np
 import pytest
 
-from hmfp import (
-    ConstraintSet,
+from hmfp.casimir import entropy_spec, power_spec
+from hmfp.functionals import (
+    csiszar_kullback_gap,
+    hamiltonian,
+    mass,
+    orbital_distance,
+)
+from hmfp.grid import (
     DistributionField,
     Potential,
-    SolverConfig,
-    auxiliary_energy_two,
-    build_F_phi,
-    convex_B,
-    csiszar_kullback_gap,
-    distribution_function,
-    entropy_spec,
-    equimeasurability_defect,
-    evolve,
     field_from_function,
-    hamiltonian,
+    make_grid,
+    weighted_l1_distance,
+)
+from hmfp.interaction import solve_potential
+from hmfp.rearrange import (
+    convex_B,
+    distribution_function,
+    equimeasurability_defect,
     inverse_sublevel_measure,
     level_band_defect,
     level_grid,
-    make_grid,
-    mass,
-    orbital_distance,
-    power_spec,
-    profile_moments,
     profile_pairing_integral,
     pseudo_inverse,
     rearrange_with_energy,
     rearranged_energy_integral,
+)
+from hmfp.solver import SolverConfig, evolve
+from hmfp.steady import (
+    ConstraintSet,
+    auxiliary_energy_two,
+    build_F_phi,
+    profile_moments,
     renormalize_to_constraints,
     self_consistent_solve,
-    solve_potential,
     solve_state_multipliers,
-    weighted_l1_distance,
 )
 
 from conftest import smooth_random_field

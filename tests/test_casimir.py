@@ -5,12 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hmfp import (
-    check_h3_ratio,
-    entropy_spec,
-    parse_casimir,
-    power_spec,
-)
+from hmfp.casimir import entropy_spec, parse_casimir, power_spec
 
 
 def test_entropy_generator_values():
@@ -60,9 +55,9 @@ def test_generators_are_convex():
 def test_h3_ratio_constant_for_power():
     spec = power_spec(2.5)
     samples = np.linspace(0.01, 20.0, 400)
-    lo, hi = check_h3_ratio(spec, samples)
-    assert lo == pytest.approx(2.5, rel=1e-12)
-    assert hi == pytest.approx(2.5, rel=1e-12)
+    ratio = samples * spec.j_prime(samples) / spec.j(samples)
+    assert ratio.min() == pytest.approx(2.5, rel=1e-12)
+    assert ratio.max() == pytest.approx(2.5, rel=1e-12)
 
 
 def test_parse_casimir_forms():

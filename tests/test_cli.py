@@ -2,23 +2,28 @@
 
 import math
 import os
+import time
 
 import numpy as np
 import pytest
 
-from hmfp import (
+import hmfp.cli
+from hmfp.casimir import entropy_spec
+from hmfp.cli import main
+from hmfp.config import load_config
+from hmfp.experiment import STABILITY_HEADER, perturb
+from hmfp.functionals import (
     diagnostics,
-    entropy_spec,
-    field_from_function,
-    load_snapshot,
-    make_grid,
     mass,
     orbital_distance,
     read_diagnostics_csv,
+)
+from hmfp.grid import (
+    field_from_function,
+    load_snapshot,
+    make_grid,
     save_snapshot,
 )
-from hmfp.cli import main
-from hmfp.experiment import STABILITY_HEADER, perturb
 
 from conftest import maxwellian
 
@@ -132,6 +137,10 @@ def test_nonconvergence_exits_two(tmp_path, monkeypatch, capsys):
     ("solver.t_end", "inf"),
     ("solver.interpolation", "quintic"),
     ("solver.record_every", "0"),
+    ("seed.amplitude", "nan"),
+    ("seed.amplitude", "inf"),
+    ("perturbation.amplitude", "nan"),
+    ("perturbation.amplitude", "1.5"),
 ])
 def test_out_of_range_config_value_exits_one(tmp_path, monkeypatch, capsys,
                                              key, value):
@@ -355,6 +364,32 @@ def test_sweep_fans_out_into_isolated_directories(tmp_path, monkeypatch, capsys)
         masses.add(round(report_values(d)["constraint_m1"], 12))
     assert masses == {3.0, 4.0}
     assert capsys.readouterr().out.count("lambda") == 2
+
+
+def test_sweep_lines_are_whole_and_in_listed_order(tmp_path, monkeypatch,
+                                                   capsys):
+    """The first variant finishes last, yet its line still comes first."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HMFP_THREADS", "4")
+    snap, _ = write_probe_snapshot(tmp_path, n=16)
+    values = ["0.1", "0.2", "0.3", "0.4"]
+    delays = {0.1: 0.4, 0.2: 0.3, 0.3: 0.2, 0.4: 0.1}
+    real_run_diag = hmfp.cli.run_diag
+
+    def slow_run_diag(cfg, input_path):
+        time.sleep(delays[cfg.dt])
+        return real_run_diag(cfg, input_path)
+
+    monkeypatch.setattr(hmfp.cli, "run_diag", slow_run_diag)
+    cfg_path = write_cfg(tmp_path, "casimir = entropy\n")
+    assert main(["diag", "--config", cfg_path, "--input", snap,
+                 "--sweep", "solver.dt=" + ",".join(values)]) == 0
+    cfg = load_config(cfg_path)
+    dirs = [os.path.join("runs", cfg.with_value("solver.dt", v).hash_prefix())
+            for v in values]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.partition(": ")[0] for line in lines] == dirs
+    assert all(line.count(": ") == 1 for line in lines)
 
 
 def test_sweep_bad_syntax_exits_one(tmp_path, capsys):

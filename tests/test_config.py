@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from hmfp import ConfigError
 from hmfp.config import ExperimentConfig, load_config, parse_config
+from hmfp.errors import ConfigError
 
 
 def test_empty_text_gives_defaults():

@@ -5,26 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from hmfp import (
+from hmfp.casimir import entropy_spec, power_spec
+from hmfp.functionals import (
     DiagnosticsRecord,
-    DistributionField,
     casimir_integral,
     csiszar_kullback_gap,
     diagnostics,
-    entropy_spec,
     free_energy_J,
     hamiltonian,
     kinetic_energy,
-    make_grid,
     mass,
     momentum,
     orbital_distance,
     potential_energy,
-    power_spec,
     read_diagnostics_csv,
-    solve_potential,
     write_diagnostics_csv,
 )
+from hmfp.grid import DistributionField, make_grid, weighted_l1_distance
+from hmfp.interaction import solve_potential
 
 from conftest import maxwellian, smooth_random_field
 
@@ -104,8 +102,6 @@ def test_orbital_distance_identical_fields():
 
 
 def test_orbital_distance_upper_bounded_by_unshifted():
-    from hmfp import weighted_l1_distance
-
     g = make_grid(32, 32, 6.0)
     f = smooth_random_field(g, seed=15)
     h = smooth_random_field(g, seed=16)

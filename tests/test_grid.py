@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from hmfp import (
+from hmfp.functionals import mass
+from hmfp.grid import (
     DistributionField,
     Potential,
     field_from_function,
-    integrate,
     load_snapshot,
     make_grid,
     save_snapshot,
@@ -89,7 +89,7 @@ def test_integrate_constant_field():
     g = make_grid(32, 64, 3.0)
     f = DistributionField(g, np.full((32, 64), 2.0))
     # box measure is 2 pi * 2 v_max
-    assert integrate(f) == pytest.approx(2.0 * TWO_PI * 6.0, rel=1e-14)
+    assert mass(f) == pytest.approx(2.0 * TWO_PI * 6.0, rel=1e-14)
 
 
 def test_integrate_gaussian_matches_closed_form():
@@ -97,7 +97,7 @@ def test_integrate_gaussian_matches_closed_form():
     # at v_max = 6 the truncated tail is ~2e-9 relative
     g = make_grid(64, 256, 6.0)
     f = field_from_function(g, lambda t, v: np.exp(-0.5 * v * v))
-    assert integrate(f) == pytest.approx(TWO_PI * math.sqrt(TWO_PI), rel=1e-8)
+    assert mass(f) == pytest.approx(TWO_PI * math.sqrt(TWO_PI), rel=1e-8)
 
 
 def test_field_from_function_samples_cell_centers():

@@ -5,30 +5,25 @@ import math
 import numpy as np
 import pytest
 
-from hmfp import (
-    DistributionField,
+from hmfp.casimir import entropy_spec
+from hmfp.functionals import casimir_integral, hamiltonian, mass
+from hmfp.grid import DistributionField, Potential, make_grid
+from hmfp.interaction import solve_potential
+from hmfp.rearrange import (
     MonotoneProfile,
-    Potential,
-    beta_overlap,
-    casimir_integral,
-    convex_B,
     compose_profile,
+    convex_B,
     distribution_function,
-    entropy_spec,
     equimeasurability_defect,
     equimeasurable_minimize,
-    hamiltonian,
     inverse_sublevel_measure,
     level_band_defect,
     level_grid,
-    make_grid,
-    mass,
     microscopic_energy_pairing,
     profile_pairing_integral,
     pseudo_inverse,
     rearrange_with_energy,
     rearranged_energy_integral,
-    solve_potential,
     sublevel_measure_a,
 )
 
@@ -221,17 +216,6 @@ def test_raw_defect_zero_against_itself():
     g = make_grid(32, 32, 6.0)
     f = smooth_random_field(g, seed=55)
     assert equimeasurability_defect(f, f, level_grid(f)) == 0.0
-
-
-def test_beta_overlap_counts():
-    g = make_grid(8, 8, 1.0)
-    f = two_level_field(g, 5, 11)
-    h = two_level_field(g, 9, 11)
-    # cells where f <= 1 < h: exactly the 4 extra hi cells of h
-    assert beta_overlap(f, h, 1.0) == pytest.approx(4 * g.cell_area)
-    assert beta_overlap(f, f, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        beta_overlap(f, h, -0.5)
 
 
 def test_pairing_identity_profile_vs_bands():

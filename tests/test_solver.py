@@ -3,24 +3,24 @@
 import numpy as np
 import pytest
 
-from hmfp import (
-    ConstraintSet,
+from hmfp.casimir import entropy_spec
+from hmfp.errors import SolverAbort
+from hmfp.functionals import mass, momentum
+from hmfp.grid import (
     DistributionField,
     Potential,
-    SolverAbort,
+    field_from_function,
+    make_grid,
+    weighted_l1_distance,
+)
+from hmfp.solver import (
     SolverConfig,
     advect_theta,
     advect_v,
-    entropy_spec,
     evolve,
-    field_from_function,
-    make_grid,
-    mass,
-    momentum,
-    self_consistent_solve,
     strang_step,
-    weighted_l1_distance,
 )
+from hmfp.steady import ConstraintSet, self_consistent_solve
 
 from conftest import default_grid
 

@@ -5,35 +5,29 @@ import math
 import numpy as np
 import pytest
 
-from hmfp import (
+from hmfp.casimir import entropy_spec, power_spec
+from hmfp.errors import ConvergenceError, SolverAbort
+from hmfp.experiment import seed_potential
+from hmfp.functionals import casimir_integral, free_energy_J, hamiltonian, mass
+from hmfp.grid import Potential, make_grid
+from hmfp.interaction import solve_potential
+from hmfp.rearrange import equimeasurable_minimize
+from hmfp.steady import (
     ConstraintSet,
-    ConvergenceError,
     Multipliers,
-    Potential,
-    SolverAbort,
     auxiliary_energy_one,
     auxiliary_energy_two,
     build_F_phi,
-    casimir_integral,
-    entropy_spec,
-    equimeasurable_minimize,
-    free_energy_J,
-    hamiltonian,
-    make_grid,
-    mass,
     ode_force,
     ode_force_primitive,
     ode_profile_solve,
-    power_spec,
     profile_moments,
     renormalize_to_constraints,
     self_consistent_solve,
     solve_lambda_one,
     solve_multipliers_two,
-    solve_potential,
     solve_state_multipliers,
 )
-from hmfp.experiment import seed_potential
 
 from conftest import smooth_random_field
 
