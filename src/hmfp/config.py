@@ -112,6 +112,10 @@ class ExperimentConfig:
         if self.kind == "density_bump" and self.amplitude > 1.0:
             raise ConfigError(
                 "perturbation.amplitude must be at most 1 for density_bump")
+        # a shift of 2 v_max or more moves all mass out of the box
+        if self.kind == "velocity_shift" and not self.amplitude < 2.0 * self.v_max:
+            raise ConfigError("perturbation.amplitude must be below "
+                              "2 * grid.v_max for velocity_shift")
         if self.phi_source not in _PHI_SOURCES:
             raise ConfigError("rearrange.phi must be 'self' or 'zero'")
         if self.snapshot_every < 0:
@@ -145,14 +149,8 @@ class ExperimentConfig:
 
     def canonical_text(self):
         """Every key in sorted order at its resolved value."""
-        lines = []
-        for key in sorted(_KEYS):
-            attr, _ = _KEYS[key]
-            value = getattr(self, attr)
-            if value is None:
-                continue
-            lines.append("%s = %s" % (key, _format_value(value)))
-        return "\n".join(lines) + "\n"
+        return key_value_text((key, getattr(self, _KEYS[key][0]))
+                              for key in sorted(_KEYS))
 
     def hash_prefix(self):
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:10]
@@ -176,6 +174,13 @@ def _format_value(value):
     if isinstance(value, float):
         return "%.17g" % value
     return str(value)
+
+
+def key_value_text(pairs):
+    """The text of config.txt and of every run report: one ``key = value``
+    line per pair, None values skipped, floats to 17 significant digits."""
+    return "".join("%s = %s\n" % (key, _format_value(value))
+                   for key, value in pairs if value is not None)
 
 
 def parse_config(text):

@@ -2,14 +2,17 @@
 
 Each run resolves its configuration, claims a directory named by the
 config hash under output.dir, and writes every artifact there: snapshots,
-reports, CSV time series.  All writers format floats with 17 significant
-digits, so identical configs and inputs reproduce identical bytes.
+reports, CSV time series.  Tables go through np.savetxt and reports
+through config.key_value_text, both with 17 significant digits, so
+identical configs and inputs reproduce identical bytes.
 """
 
 import os
+from pathlib import Path
 
 import numpy as np
 
+from .config import key_value_text
 from .errors import ConfigError
 from .functionals import (casimir_integral, diagnostics, free_energy_J,
                           hamiltonian, mass, orbital_distance,
@@ -28,8 +31,7 @@ def run_directory(cfg):
     """Create (if needed) and return the per-run output directory."""
     path = os.path.join(cfg.output_dir, cfg.hash_prefix())
     os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, "config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(cfg.canonical_text())
+    Path(path, "config.txt").write_text(cfg.canonical_text(), encoding="utf-8")
     return path
 
 
@@ -67,21 +69,12 @@ def perturb(field, kind, amplitude, seed):
     raise ConfigError("unknown perturbation kind %r" % kind)
 
 
-def _steady_report(result, cfg, spec):
-    lines = ["lambda = %.17g" % result.multipliers.lam]
-    if result.multipliers.mu is not None:
-        lines.append("mu = %.17g" % result.multipliers.mu)
-    lines.append("residual = %.17g" % result.fixed_point_residual)
-    lines.append("iterations = %d" % result.iterations)
-    lines.append("constraint_m1 = %.17g" % cfg.m1)
-    if cfg.mj is not None:
-        lines.append("constraint_mj = %.17g" % cfg.mj)
-    f = result.field
-    lines.append("mass = %.17g" % mass(f))
-    lines.append("casimir = %.17g" % casimir_integral(f, spec))
-    lines.append("hamiltonian = %.17g" % hamiltonian(f))
-    lines.append("free_energy = %.17g" % free_energy_J(f, spec))
-    return "\n".join(lines) + "\n"
+def _ground_state(cfg, spec):
+    """The configured ground state, solved from the seed well."""
+    seed = seed_potential(cfg.grid(), cfg.seed_amplitude)
+    return self_consistent_solve(spec, cfg.constraints(), seed,
+                                 damping=cfg.damping, tol=cfg.tol,
+                                 max_iter=cfg.max_iter)
 
 
 def run_steady(cfg):
@@ -89,17 +82,19 @@ def run_steady(cfg):
 
     Returns (run_dir, SteadyStateResult).
     """
-    grid = cfg.grid()
     spec = cfg.casimir_spec()
-    constraints = cfg.constraints()
-    seed = seed_potential(grid, cfg.seed_amplitude)
-    result = self_consistent_solve(spec, constraints, seed,
-                                   damping=cfg.damping, tol=cfg.tol,
-                                   max_iter=cfg.max_iter)
+    result = _ground_state(cfg, spec)
     out = run_directory(cfg)
-    save_snapshot(result.field, 0.0, os.path.join(out, "state.snap"))
-    with open(os.path.join(out, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(_steady_report(result, cfg, spec))
+    f, mult = result.field, result.multipliers
+    save_snapshot(f, 0.0, os.path.join(out, "state.snap"))
+    Path(out, "report.txt").write_text(key_value_text([
+        ("lambda", mult.lam), ("mu", mult.mu),
+        ("residual", result.fixed_point_residual),
+        ("iterations", result.iterations),
+        ("constraint_m1", cfg.m1), ("constraint_mj", cfg.mj),
+        ("mass", mass(f)), ("casimir", casimir_integral(f, spec)),
+        ("hamiltonian", hamiltonian(f)), ("free_energy", free_energy_J(f, spec)),
+    ]), encoding="utf-8")
     return out, result
 
 
@@ -113,14 +108,12 @@ def run_evolve(cfg, input_path):
     spec = cfg.casimir_spec()
     out = run_directory(cfg)
     records = []
-    counter = [0]
 
     def observer(rec, fld):
-        records.append(rec)
-        if cfg.snapshot_every > 0 and counter[0] % cfg.snapshot_every == 0:
-            name = "snap_%06d.snap" % counter[0]
+        if cfg.snapshot_every > 0 and len(records) % cfg.snapshot_every == 0:
+            name = "snap_%06d.snap" % len(records)
             save_snapshot(fld, rec.time, os.path.join(out, name))
-        counter[0] += 1
+        records.append(rec)
 
     result = evolve(field, cfg.solver_config(), observer=observer,
                     casimir=spec, t_start=t0)
@@ -141,11 +134,7 @@ def run_stability(cfg, input_path=None):
     if input_path is not None:
         base, _ = _require_input(input_path)
     else:
-        grid = cfg.grid()
-        seed = seed_potential(grid, cfg.seed_amplitude)
-        base = self_consistent_solve(spec, cfg.constraints(), seed,
-                                     damping=cfg.damping, tol=cfg.tol,
-                                     max_iter=cfg.max_iter).field
+        base = _ground_state(cfg, spec).field
     start = perturb(base, cfg.kind, cfg.amplitude, cfg.seed)
     if cfg.renormalize:
         start = renormalize_to_constraints(start, spec, cfg.constraints())
@@ -160,13 +149,12 @@ def run_stability(cfg, input_path=None):
     out = run_directory(cfg)
     evolve(start, cfg.solver_config(), observer=observer, casimir=spec)
     with open(os.path.join(out, "stability.csv"), "w", encoding="utf-8") as fh:
-        fh.write(STABILITY_HEADER + "\n")
-        for row in rows:
-            fh.write(",".join("%.17g" % x for x in row) + "\n")
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",",
+                   header=STABILITY_HEADER, comments="")
     sup = max(row[1] for row in rows)
-    with open(os.path.join(out, "summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write("sup_orbital_distance = %.17g\n" % sup)
-        fh.write("amplitude = %.17g\n" % cfg.amplitude)
+    Path(out, "summary.txt").write_text(key_value_text([
+        ("sup_orbital_distance", sup), ("amplitude", cfg.amplitude),
+    ]), encoding="utf-8")
     return out, sup
 
 
@@ -191,12 +179,10 @@ def run_rearrange(cfg, input_path):
     banded = level_band_defect(field, rearranged, ladder)
     out = run_directory(cfg)
     save_snapshot(rearranged, t0, os.path.join(out, "rearranged.snap"))
-    with open(os.path.join(out, "rearrange_report.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write("sup_level_defect = %.17g\n" % raw)
-        fh.write("banded_defect = %.17g\n" % banded)
-        fh.write("mass_in = %.17g\n" % mass(field))
-        fh.write("mass_out = %.17g\n" % mass(rearranged))
+    Path(out, "rearrange_report.txt").write_text(key_value_text([
+        ("sup_level_defect", raw), ("banded_defect", banded),
+        ("mass_in", mass(field)), ("mass_out", mass(rearranged)),
+    ]), encoding="utf-8")
     return out, banded
 
 

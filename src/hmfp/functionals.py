@@ -13,12 +13,12 @@ is an identity of the implementation, not a numerical coincidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .casimir import CasimirSpec
-from .grid import DistributionField, Potential, weighted_l1_distance
+from .grid import DistributionField, Potential
 from .interaction import solve_potential
 
 
@@ -78,12 +78,17 @@ def orbital_distance(
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
     grid = f.grid
+    n = grid.n_theta
     w = 1.0 + grid.v ** 2
+    # one buffer for every shift: np.roll(f.values, -s, axis=0) - g.values
+    diff = np.empty_like(f.values)
     best = np.inf
     best_s = 0
-    for s in range(grid.n_theta):
-        shifted = np.roll(f.values, -s, axis=0)
-        d = float((np.abs(shifted - g.values) @ w).sum()) * grid.cell_area
+    for s in range(n):
+        np.subtract(f.values[s:], g.values[:n - s], out=diff[:n - s])
+        np.subtract(f.values[:s], g.values[n - s:], out=diff[n - s:])
+        np.abs(diff, out=diff)
+        d = float((diff @ w).sum()) * grid.cell_area
         if d < best:
             best = d
             best_s = s
@@ -163,9 +168,9 @@ def diagnostics(
 def write_diagnostics_csv(records, path) -> None:
     """Write records to CSV with the canonical header line."""
     with open(path, "w") as fh:
-        fh.write(DiagnosticsRecord.CSV_HEADER + "\n")
-        for rec in records:
-            fh.write(rec.to_csv() + "\n")
+        np.savetxt(fh, [astuple(rec) for rec in records], fmt="%.17g",
+                   delimiter=",", header=DiagnosticsRecord.CSV_HEADER,
+                   comments="")
 
 
 def read_diagnostics_csv(path) -> list[DiagnosticsRecord]:

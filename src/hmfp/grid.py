@@ -147,16 +147,15 @@ SNAPSHOT_MAGIC = "HMFP1"
 def save_snapshot(field: DistributionField, time: float, path) -> None:
     """Write a field to a text snapshot.
 
-    Header line: ``HMFP1 n_theta n_v v_max time``; then n_theta*n_v values in
-    row-major order (theta outer, v inner), 17 significant digits so the
+    Header line: ``HMFP1 n_theta n_v v_max time``; then one line of n_v
+    space-separated values per theta row, 17 significant digits so the
     round trip is bit exact.
     """
     g = field.grid
+    header = f"{SNAPSHOT_MAGIC} {g.n_theta} {g.n_v} {g.v_max:.17g} {time:.17g}"
+    # an open handle: given a path, savetxt opens it through np.lib._datasource
     with open(path, "w") as fh:
-        fh.write(f"{SNAPSHOT_MAGIC} {g.n_theta} {g.n_v} {g.v_max:.17g} {time:.17g}\n")
-        for row in field.values:
-            fh.write(" ".join(f"{x:.17g}" for x in row))
-            fh.write("\n")
+        np.savetxt(fh, field.values, fmt="%.17g", header=header, comments="")
 
 
 def load_snapshot(path) -> tuple[DistributionField, float]:

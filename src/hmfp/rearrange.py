@@ -390,5 +390,4 @@ def equimeasurable_minimize(
         multipliers=None,
         fixed_point_residual=residual,
         iterations=iterations,
-        discarded_tail_mass=0.0,
     )

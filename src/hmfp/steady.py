@@ -33,9 +33,6 @@ from .interaction import density, solve_potential
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Gauss-Legendre rule for the incomplete support integrals of the tail report.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
 
 # ---------------------------------------------------------------------------
 # Value types
@@ -77,7 +74,6 @@ class SteadyStateResult:
     multipliers: Multipliers
     fixed_point_residual: float
     iterations: int
-    discarded_tail_mass: float
 
 
 @dataclass(frozen=True)
@@ -88,14 +84,12 @@ class ProfileMoments:
     casimir         integral of j(F)
     kinetic_moment  integral of v**2 F (not halved)
     inner_product   integral of F j'(F)
-    tail_mass       part of the mass outside |v| <= v_max
     """
 
     mass: float
     casimir: float
     kinetic_moment: float
     inner_product: float
-    tail_mass: float
 
 
 @dataclass(frozen=True)
@@ -122,21 +116,13 @@ def _power_coefficient(k: float, ps: float) -> float:
     return 2.0 * math.sqrt(2.0) * _beta_half(k) * ps ** (-k)
 
 
-def _incomplete_beta_half(k: float, u0: np.ndarray) -> np.ndarray:
-    """Integral of (1-u**2)**k over [u0, 1], per entry, by Gauss-Legendre."""
-    half = 0.5 * (1.0 - u0)
-    u = u0[:, None] + half[:, None] * (_GL_NODES[None, :] + 1.0)
-    return (np.maximum(1.0 - u * u, 0.0) ** k) @ _GL_WEIGHTS * half
-
-
 def profile_moments(
     phi: Potential, spec: CasimirSpec, multipliers: Multipliers
 ) -> ProfileMoments:
     """Exact-in-v moments of the profile attached to (phi, multipliers).
 
-    The velocity integrals run over the whole line; tail_mass reports how
-    much of the mass falls outside the grid's velocity window, which is what
-    a grid sampling of the profile would discard.
+    The velocity integrals run over the whole line, not the grid's velocity
+    window.
     """
     g = phi.grid
     lam = multipliers.lam
@@ -149,7 +135,6 @@ def profile_moments(
         casimir_rows = rows * (lam - phi.values - 0.5)
         kinetic_rows = rows
         inner_rows = casimir_rows + mass_rows
-        tail_rows = rows * math.erfc(g.v_max / math.sqrt(2.0))
     else:
         p = spec.p
         k = 1.0 / (p - 1.0)
@@ -160,24 +145,16 @@ def profile_moments(
         scale = (p * s) ** (-k)
         root2 = math.sqrt(2.0)
         with np.errstate(over="ignore"):
-            a_low = a ** (k + 0.5)
             a_high = a ** (k + 1.5)
-            mass_rows = _power_coefficient(k, p * s) * a_low
+            mass_rows = _power_coefficient(k, p * s) * a ** (k + 0.5)
             casimir_rows = _power_coefficient(k + 1.0, p * s) * a_high
             kinetic_rows = 4.0 * root2 * (b_k - b_k1) * scale * a_high
         inner_rows = p * casimir_rows
-        edge = np.sqrt(2.0 * a)
-        if np.any(edge > g.v_max):
-            u0 = np.minimum(g.v_max / np.maximum(edge, 1e-300), 1.0)
-            tail_rows = 2.0 * root2 * scale * a_low * _incomplete_beta_half(k, u0)
-        else:
-            tail_rows = np.zeros_like(a)
     return ProfileMoments(
         mass=float(mass_rows.sum()) * d_theta,
         casimir=float(casimir_rows.sum()) * d_theta,
         kinetic_moment=float(kinetic_rows.sum()) * d_theta,
         inner_product=float(inner_rows.sum()) * d_theta,
-        tail_mass=float(tail_rows.sum()) * d_theta,
     )
 
 
@@ -430,9 +407,9 @@ def self_consistent_solve(
 
     Returns:
         SteadyStateResult with the field, its potential, multipliers, the
-        final increment sup-norm, the iteration count, and the mass the
-        velocity truncation discards.  The state is rolled so the potential
-        minimum sits at theta = pi, fixing the translation freedom.
+        final increment sup-norm and the iteration count.  The state is
+        rolled so the potential minimum sits at theta = pi, fixing the
+        translation freedom.
     """
     def update(phi):
         mult = solve_state_multipliers(phi, spec, constraints)
@@ -455,7 +432,6 @@ def self_consistent_solve(
         multipliers=mult,
         fixed_point_residual=residual,
         iterations=iterations,
-        discarded_tail_mass=profile_moments(phi, spec, mult).tail_mass,
     )
 
 

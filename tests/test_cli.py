@@ -125,33 +125,37 @@ def test_nonconvergence_exits_two(tmp_path, monkeypatch, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [
-    ("grid.n_theta", "4"),
-    ("grid.v_max", "0"),
-    ("solver.damping", "0"),
-    ("solver.max_iter", "0"),
-    ("solver.tol", "-1"),
-    ("solver.dt", "0"),
-    ("solver.t_end", "-1"),
-    ("solver.t_end", "nan"),
-    ("solver.t_end", "inf"),
-    ("solver.interpolation", "quintic"),
-    ("solver.record_every", "0"),
-    ("seed.amplitude", "nan"),
-    ("seed.amplitude", "inf"),
-    ("perturbation.amplitude", "nan"),
-    ("perturbation.amplitude", "1.5"),
-])
+# Each case sets the given keys; the message must name the last one.
+@pytest.mark.parametrize("case", [
+    {"grid.n_theta": "4"},
+    {"grid.v_max": "0"},
+    {"solver.damping": "0"},
+    {"solver.max_iter": "0"},
+    {"solver.tol": "-1"},
+    {"solver.dt": "0"},
+    {"solver.t_end": "-1"},
+    {"solver.t_end": "nan"},
+    {"solver.t_end": "inf"},
+    {"solver.interpolation": "quintic"},
+    {"solver.record_every": "0"},
+    {"seed.amplitude": "nan"},
+    {"seed.amplitude": "inf"},
+    {"perturbation.amplitude": "nan"},
+    {"perturbation.amplitude": "1.5"},
+    # a shift of 2 v_max (v_max = 6) empties the velocity box
+    {"perturbation.kind": "velocity_shift", "perturbation.amplitude": "12"},
+    {"perturbation.kind": "velocity_shift", "perturbation.amplitude": "1e300"},
+], ids=lambda case: "-".join("%s-%s" % kv for kv in case.items()))
 def test_out_of_range_config_value_exits_one(tmp_path, monkeypatch, capsys,
-                                             key, value):
+                                             case):
     monkeypatch.chdir(tmp_path)
     keys = {"grid.n_theta": "16", "grid.n_v": "16", "constraints.m1": "3.0",
-            "solver.max_iter": "3", key: value}
+            "solver.max_iter": "3", **case}
     cfg = write_cfg(tmp_path, "".join("%s = %s\n" % kv for kv in keys.items()))
     assert main(["steady", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert key in err
+    assert list(case)[-1] in err
     assert run_dirs(tmp_path) == []
 
 

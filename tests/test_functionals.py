@@ -101,6 +101,34 @@ def test_orbital_distance_identical_fields():
     assert shift == 0.0
 
 
+def _rolled_scan(f, g):
+    """Reference: every cyclic shift through np.roll, first minimum wins."""
+    w = 1.0 + f.grid.v ** 2
+    dists = [float((np.abs(np.roll(f.values, -s, axis=0) - g.values) @ w).sum())
+             * f.grid.cell_area for s in range(f.grid.n_theta)]
+    s = int(np.argmin(dists))
+    return dists[s], s * f.grid.d_theta
+
+
+def test_orbital_distance_matches_rolled_scan_exactly():
+    rng = np.random.default_rng(21)
+    for n_theta, n_v, seed in [(32, 24, 30), (48, 32, 31), (64, 64, 32)]:
+        g = make_grid(n_theta, n_v, 6.0)
+        f = smooth_random_field(g, seed=seed)
+        noisy = DistributionField(g, np.roll(f.values, seed, axis=0)
+                                  * rng.uniform(0.9, 1.1, f.values.shape))
+        other = smooth_random_field(g, seed=seed + 100)
+        for a, b in [(noisy, f), (f, noisy), (other, f)]:
+            assert orbital_distance(a, b) == _rolled_scan(a, b)
+    # all rows equal: every shift ties, and the smallest shift wins
+    g = make_grid(16, 16, 6.0)
+    flat = DistributionField(g, np.tile(rng.uniform(0.0, 1.0, 16), (16, 1)))
+    other = DistributionField(g, np.tile(rng.uniform(0.0, 1.0, 16), (16, 1)))
+    d, shift = orbital_distance(flat, other)
+    assert (d, shift) == _rolled_scan(flat, other)
+    assert shift == 0.0 and d > 0.0
+
+
 def test_orbital_distance_upper_bounded_by_unshifted():
     g = make_grid(32, 32, 6.0)
     f = smooth_random_field(g, seed=15)

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from hmfp.functionals import mass
+from hmfp.functionals import DiagnosticsRecord, mass, write_diagnostics_csv
 from hmfp.grid import (
     DistributionField,
     Potential,
@@ -16,7 +19,7 @@ from hmfp.grid import (
     weighted_l1_distance,
 )
 
-from conftest import maxwellian, smooth_random_field
+from conftest import maxwellian
 
 TWO_PI = 2.0 * math.pi
 
@@ -125,15 +128,64 @@ def test_weighted_l1_requires_matching_grids():
         weighted_l1_distance(f, h)
 
 
-def test_snapshot_round_trip_is_bitwise(tmp_path):
-    g = make_grid(24, 40, 5.5)
-    f = smooth_random_field(g, seed=7)
+# tmp_path is shared by the examples; each one overwrites the same file
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    values=arrays(
+        np.float64, st.tuples(st.integers(8, 12), st.integers(8, 12)),
+        elements=st.floats(min_value=0.0, allow_infinity=False)
+        | st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308])),
+    time=st.floats(allow_nan=False, allow_infinity=False),
+    v_max=st.floats(min_value=1e-3, max_value=1e3),
+)
+def test_snapshot_round_trip_is_bitwise(tmp_path, values, time, v_max):
+    g = make_grid(*values.shape, v_max)
+    f = DistributionField(g, values)
     path = tmp_path / "state.snap"
-    save_snapshot(f, 1.25, path)
+    save_snapshot(f, time, path)
     back, t = load_snapshot(path)
-    assert t == 1.25
+    assert t == time
     assert back.grid == g
     assert np.array_equal(back.values, f.values)
+
+
+def test_snapshot_and_diagnostics_bytes_are_pinned(tmp_path):
+    values = np.zeros((8, 8))
+    values[0, :4] = [0.1, 1.0 / 3.0, 2.5, 1e-5]
+    values[3, 3] = 5e-324
+    values[5, 6] = 1e300
+    values[7, 7] = 12.566370614359172
+    save_snapshot(DistributionField(make_grid(8, 8, 6.0), values), 0.75,
+                  tmp_path / "state.snap")
+    assert (tmp_path / "state.snap").read_text() == (
+        "HMFP1 8 8 6 0.75\n"
+        "0.10000000000000001 0.33333333333333331 2.5 1.0000000000000001e-05"
+        " 0 0 0 0\n"
+        "0 0 0 0 0 0 0 0\n"
+        "0 0 0 0 0 0 0 0\n"
+        "0 0 0 4.9406564584124654e-324 0 0 0 0\n"
+        "0 0 0 0 0 0 0 0\n"
+        "0 0 0 0 0 0 1.0000000000000001e+300 0\n"
+        "0 0 0 0 0 0 0 0\n"
+        "0 0 0 0 0 0 0 12.566370614359172\n"
+    )
+    records = [
+        DiagnosticsRecord(0.0, 12.566370614359172, 0.0, 6.283185307179586,
+                          1.0 / 3.0, 5.949851973846253, -3.0, 0.5),
+        DiagnosticsRecord(0.1, 12.566370614359172, -1e-17, 6.3, 0.25, 6.05,
+                          -2.9999999999999996, 0.49),
+    ]
+    write_diagnostics_csv(records, tmp_path / "diagnostics.csv")
+    assert (tmp_path / "diagnostics.csv").read_text() == (
+        "time,mass,momentum,kinetic,potential_energy,hamiltonian,casimir,"
+        "l_infinity\n"
+        "0,12.566370614359172,0,6.2831853071795862,0.33333333333333331,"
+        "5.9498519738462532,-3,0.5\n"
+        "0.10000000000000001,12.566370614359172,-1.0000000000000001e-17,"
+        "6.2999999999999998,0.25,6.0499999999999998,-2.9999999999999996,"
+        "0.48999999999999999\n"
+    )
 
 
 def test_snapshot_rejects_corrupt_header(tmp_path):

@@ -116,16 +116,6 @@ def test_profile_moments_match_dense_quadrature():
         assert mom.kinetic_moment == pytest.approx(k_q, rel=1e-7)
 
 
-def test_profile_tail_mass_closed_form():
-    # homogeneous Maxwell-Boltzmann: the tail beyond v_max is erfc-exact
-    g = make_grid(16, 64, 4.0)
-    spec = entropy_spec()
-    lam = solve_lambda_one(flat_potential(g), spec, 5.0)
-    mom = profile_moments(flat_potential(g), spec, Multipliers(lam=lam))
-    expect = 5.0 * math.erfc(4.0 / math.sqrt(2.0))
-    assert mom.tail_mass == pytest.approx(expect, rel=1e-10)
-
-
 def test_build_F_phi_pointwise_forms():
     g = make_grid(32, 32, 5.0)
     phi = wavy_potential(g)
