@@ -13,10 +13,6 @@ import tempfile
 
 from hmfp.cli import main
 
-scratch = tempfile.mkdtemp(prefix="hmfp_demo_")
-os.chdir(scratch)
-print("working in %s\n" % scratch)
-
 
 def write(name, text):
     with open(name, "w") as fh:
@@ -31,7 +27,8 @@ def run(argv):
     assert code == 0
 
 
-steady_cfg = write("steady.cfg", """
+def walkthrough():
+    steady_cfg = write("steady.cfg", """
 grid.n_theta = 64
 grid.n_v = 64
 casimir = entropy
@@ -39,21 +36,21 @@ constraints.m1 = %.17g
 seed.amplitude = 0.5
 solver.tol = 1e-10
 """ % (4 * math.pi))
-run(["steady", "--config", steady_cfg])
+    run(["steady", "--config", steady_cfg])
 
-run_dir = [os.path.join("runs", d) for d in sorted(os.listdir("runs"))][0]
-state = os.path.join(run_dir, "state.snap")
-print("ground state artifacts: %s\n" % sorted(os.listdir(run_dir)))
+    run_dir = [os.path.join("runs", d) for d in sorted(os.listdir("runs"))][0]
+    state = os.path.join(run_dir, "state.snap")
+    print("ground state artifacts: %s\n" % sorted(os.listdir(run_dir)))
 
-evolve_cfg = write("evolve.cfg", """
+    evolve_cfg = write("evolve.cfg", """
 solver.dt = 0.05
 solver.t_end = 2.0
 solver.interpolation = cubic
 solver.record_every = 10
 """)
-run(["evolve", "--config", evolve_cfg, "--input", state])
+    run(["evolve", "--config", evolve_cfg, "--input", state])
 
-stability_cfg = write("stability.cfg", """
+    stability_cfg = write("stability.cfg", """
 grid.n_theta = 64
 grid.n_v = 64
 constraints.m1 = %.17g
@@ -63,22 +60,35 @@ solver.dt = 0.05
 solver.t_end = 2.0
 solver.record_every = 10
 """ % math.pi)
-run(["stability", "--config", stability_cfg])
+    run(["stability", "--config", stability_cfg])
 
-rearrange_cfg = write("rearrange.cfg", "rearrange.phi = self\n")
-run(["rearrange", "--config", rearrange_cfg, "--input", state])
+    rearrange_cfg = write("rearrange.cfg", "rearrange.phi = self\n")
+    run(["rearrange", "--config", rearrange_cfg, "--input", state])
 
-# directories are named by the resolved config hash, so a diag run whose
-# config resolves to the same defaults would share the rearrange run's
-# directory; give it its own output root to keep the artifacts apart
-diag_cfg = write("diag.cfg", "casimir = entropy\noutput.dir = diag_runs\n")
-run(["diag", "--config", diag_cfg, "--input", state])
+    # directories are named by the resolved config hash, so a diag run whose
+    # config resolves to the same defaults would share the rearrange run's
+    # directory; give it its own output root to keep the artifacts apart
+    diag_cfg = write("diag.cfg", "casimir = entropy\noutput.dir = diag_runs\n")
+    run(["diag", "--config", diag_cfg, "--input", state])
 
-print("a parameter sweep, one directory per variant:")
-run(["stability", "--config", stability_cfg,
-     "--sweep", "perturbation.amplitude=1e-3,2e-3"])
+    print("a parameter sweep, one directory per variant:")
+    run(["stability", "--config", stability_cfg,
+         "--sweep", "perturbation.amplitude=1e-3,2e-3"])
 
-print("all run directories:")
-for root in ("runs", "diag_runs"):
-    for d in sorted(os.listdir(root)):
-        print("  %s/%s: %s" % (root, d, sorted(os.listdir(os.path.join(root, d)))))
+    print("all run directories:")
+    for root in ("runs", "diag_runs"):
+        for d in sorted(os.listdir(root)):
+            files = sorted(os.listdir(os.path.join(root, d)))
+            print("  %s/%s: %s" % (root, d, files))
+
+
+# the run directories live in a temporary folder that is removed at the end;
+# step back out of it first so it is not the working directory when it goes
+home = os.getcwd()
+with tempfile.TemporaryDirectory(prefix="hmfp_demo_") as scratch:
+    os.chdir(scratch)
+    print("working in %s\n" % scratch)
+    try:
+        walkthrough()
+    finally:
+        os.chdir(home)

@@ -10,9 +10,11 @@ row; advection in v loses mass through the open ends of the velocity box,
 and that loss is tallied rather than hidden.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SolverAbort
 from .functionals import diagnostics, mass
@@ -90,6 +92,25 @@ def _interpolate(take, u, interpolation):
     return wm1 * take(-1) + w0 * take(0) + w1 * take(1) + w2 * take(2)
 
 
+@functools.lru_cache(maxsize=8)
+def _theta_stencil(grid, dt):
+    """Flat gather index and fraction of the theta shift by v*dt.
+
+    The departure angle of node i is theta_i - v dt, i.e. index i + s with
+    s = -v dt / d_theta, one shift per v column; it depends only on the
+    grid and dt, so every step of a run reuses one entry.  index holds
+    lower * n_v + col for the lower stencil node, reduced modulo n_theta.
+    Both arrays are read-only because every caller shares them.
+    """
+    n_v = grid.n_v
+    base, u = _split_shift(-grid.v * dt / grid.d_theta)
+    lower = (np.arange(grid.n_theta)[:, None] + base[None, :]) % grid.n_theta
+    index = lower * n_v + np.arange(n_v)[None, :]
+    index.flags.writeable = False
+    u.flags.writeable = False
+    return index, u
+
+
 def advect_theta(f, dt, interpolation=LINEAR):
     """Transport f along theta by v*dt with periodic interpolation.
 
@@ -99,17 +120,13 @@ def advect_theta(f, dt, interpolation=LINEAR):
     clipping is absorbed by the same rescale.
     """
     grid = f.grid
-    n = grid.n_theta
+    n_v = grid.n_v
     values = f.values
-    # Departure angle of node i is theta_i - v dt, i.e. index i + s with
-    # s = -v dt / d_theta, one shift per v column.
-    s = -grid.v * dt / grid.d_theta
-    base, u = _split_shift(s)
-
-    lower = (np.arange(n)[:, None] + base[None, :]) % n
-    cols = np.arange(grid.n_v)[None, :]
-    # lower is reduced already: one more modulo pass costs as much as the gather
-    out = _interpolate(lambda k: values[(lower + k) % n if k else lower, cols],
+    index, u = _theta_stencil(grid, dt)
+    # wrapped row r is values row (r - 1) mod n_theta, so stencil node k
+    # of the lower node lies k + 1 rows into it: one index serves all nodes
+    wrapped = np.concatenate((values[-1:], values, values[:2])).ravel()
+    out = _interpolate(lambda k: wrapped[n_v * (k + 1):].take(index),
                        u, interpolation)
     if interpolation != LINEAR:
         np.maximum(out, 0.0, out=out)
@@ -135,16 +152,19 @@ def advect_v(f, phi_prime, dt, interpolation=LINEAR):
         raise ValueError("force is not finite")
     base, u = _split_shift(s)
 
-    # Two zero guard cells on each side absorb any stencil index that
-    # leaves the box after clipping.
-    padded = np.zeros((grid.n_theta, n_v + 4))
-    padded[:, 2:-2] = values
-    cols = np.arange(n_v)[None, :] + base[:, None] + 2
-    top = n_v + 3
+    # A row shifted by more than n_v + 2 cells reads only zeros either
+    # way, so clipping base bounds the padding.  pad zero guard cells per
+    # side keep every window of stencil node k (k in -1..2) inside the row.
+    np.clip(base, -(n_v + 2), n_v + 2, out=base)
+    pad = int(np.abs(base).max()) + 2
+    padded = np.zeros((grid.n_theta, n_v + 2 * pad))
+    padded[:, pad:pad + n_v] = values
+    windows = sliding_window_view(padded, n_v, axis=1)
+    rows = np.arange(grid.n_theta)
+    start = base + pad
 
-    def take(offset):
-        idx = np.clip(cols + offset, 0, top)
-        return np.take_along_axis(padded, idx, axis=1)
+    def take(k):
+        return windows[rows, start + k]
 
     out = _interpolate(take, u[:, None], interpolation)
     clipped = 0.0

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hmfp.grid import DistributionField, field_from_function, make_grid
 from hmfp.interaction import (
@@ -84,6 +87,23 @@ def test_solve_is_linear_and_mean_free():
     assert np.allclose(both.values, phi1.values + phi2.values, atol=1e-14)
     assert abs(phi1.values.mean()) <= 1e-15
     assert abs(both.values.mean()) <= 1e-15
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n_theta=st.integers(8, 40), n_v=st.integers(8, 40),
+       a=st.floats(0.0, 4.0), b=st.floats(0.0, 4.0))
+def test_solve_potential_is_linear_in_f(data, n_theta, n_v, a, b):
+    g = make_grid(n_theta, n_v, 6.0)
+    f, h = (data.draw(arrays(np.float64, (n_theta, n_v),
+                             elements=st.floats(0.0, 1.0)))
+            for _ in range(2))
+    phi_f = solve_potential(DistributionField(g, f))
+    phi_h = solve_potential(DistributionField(g, h))
+    both = solve_potential(DistributionField(g, a * f + b * h))
+    assert np.allclose(both.values, a * phi_f.values + b * phi_h.values,
+                       atol=1e-14)
+    assert np.allclose(both.derivative,
+                       a * phi_f.derivative + b * phi_h.derivative, atol=1e-14)
 
 
 def test_density_reduces_rows():

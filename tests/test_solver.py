@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hmfp.casimir import entropy_spec
 from hmfp.errors import SolverAbort
@@ -15,6 +18,9 @@ from hmfp.grid import (
 )
 from hmfp.solver import (
     SolverConfig,
+    _interpolate,
+    _split_shift,
+    _theta_stencil,
     advect_theta,
     advect_v,
     evolve,
@@ -28,6 +34,74 @@ from conftest import default_grid
 def wavy_gaussian(grid):
     return field_from_function(
         grid, lambda th, v: np.exp(-0.5 * v * v) * (1.0 + 0.3 * np.cos(th)))
+
+
+@st.composite
+def fields(draw):
+    """Nonnegative fields on 8-40 cells per side, zeros included.
+
+    Nonzero values stay far above the subnormal range, so products with
+    the stencil weights keep full relative precision.
+    """
+    n_theta = draw(st.integers(8, 40))
+    n_v = draw(st.integers(8, 40))
+    v_max = draw(st.floats(0.5, 20.0))
+    values = draw(arrays(np.float64, (n_theta, n_v),
+                         elements=st.just(0.0) | st.floats(1e-200, 1e6)))
+    return DistributionField(make_grid(n_theta, n_v, v_max), values)
+
+
+@st.composite
+def forces(draw, grid, dt):
+    """Row forces whose v shifts reach up to three box widths either way."""
+    reach = 3.0 * grid.n_v
+    cells = draw(arrays(np.float64, grid.n_theta,
+                        elements=st.floats(-reach, reach)))
+    return cells * grid.d_v / dt
+
+
+steps = st.floats(1e-9, 0.5)
+modes = st.sampled_from(["linear", "cubic"])
+
+
+def reference_advect_theta(f, dt, interpolation):
+    """advect_theta through a modulo fancy index for every stencil node."""
+    grid = f.grid
+    n = grid.n_theta
+    values = f.values
+    base, u = _split_shift(-grid.v * dt / grid.d_theta)
+    lower = (np.arange(n)[:, None] + base[None, :]) % n
+    cols = np.arange(grid.n_v)[None, :]
+    out = _interpolate(lambda k: values[(lower + k) % n, cols], u, interpolation)
+    if interpolation != "linear":
+        np.maximum(out, 0.0, out=out)
+        old = values.sum(axis=0)
+        new = out.sum(axis=0)
+        scale = np.where(new > 0.0, old / np.where(new > 0.0, new, 1.0), 1.0)
+        out *= scale[None, :]
+    return out
+
+
+def reference_advect_v(f, phi_prime, dt, interpolation):
+    """advect_v through clipped column indices into a 2-guard padded copy."""
+    grid = f.grid
+    n_v = grid.n_v
+    values = f.values
+    base, u = _split_shift(np.asarray(phi_prime, dtype=float) * dt / grid.d_v)
+    padded = np.zeros((grid.n_theta, n_v + 4))
+    padded[:, 2:-2] = values
+    cols = np.arange(n_v)[None, :] + base[:, None] + 2
+
+    def take(k):
+        return np.take_along_axis(padded, np.clip(cols + k, 0, n_v + 3), axis=1)
+
+    out = _interpolate(take, u[:, None], interpolation)
+    clipped = 0.0
+    if interpolation != "linear":
+        clipped = -float(np.minimum(out, 0.0).sum()) * grid.cell_area + 0.0
+        np.maximum(out, 0.0, out=out)
+    outflow = float(values.sum() - out.sum()) * grid.cell_area + clipped
+    return out, outflow, clipped
 
 
 # ---------------------------------------------------------------------------
@@ -104,15 +178,47 @@ def test_v_advection_mass_accounting_is_closed():
         assert abs(gap) <= 1e-12
 
 
-def test_linear_advection_is_positive_and_bounded():
-    g = default_grid()
-    f = wavy_gaussian(g)
+@settings(max_examples=100, deadline=None)
+@given(f=fields(), dt=steps)
+def test_linear_theta_advection_conserves_every_column_sum(f, dt):
+    before = f.values.sum(axis=0)
+    after = advect_theta(f, dt, "linear").values.sum(axis=0)
+    assert np.all(np.abs(after - before) <= 1e-13 * before)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), f=fields(), dt=steps)
+def test_linear_advection_is_positive_and_bounded(data, f, dt):
     top = f.values.max()
-    out = advect_theta(f, 0.23, "linear")
-    out2, _ = advect_v(out, 0.5 * np.sin(g.theta), 0.2, "linear")
+    out = advect_theta(f, dt, "linear")
+    out2, _ = advect_v(f, data.draw(forces(f.grid, dt)), dt, "linear")
     for w in (out.values, out2.values):
         assert w.min() >= 0.0
         assert w.max() <= top * (1.0 + 1e-14)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), f=fields(), dt=steps, mode=modes)
+def test_advections_match_the_reference_gathers_bitwise(data, f, dt, mode):
+    out = advect_theta(f, dt, mode)
+    assert out.values.tobytes() == reference_advect_theta(f, dt, mode).tobytes()
+    phi_prime = data.draw(forces(f.grid, dt))
+    out, losses = advect_v(f, phi_prime, dt, mode)
+    ref, outflow, clipped = reference_advect_v(f, phi_prime, dt, mode)
+    assert out.values.tobytes() == ref.tobytes()
+    assert losses.outflow == outflow
+    assert losses.clipped_mass == clipped
+
+
+def test_theta_stencil_is_built_once_per_grid_and_dt():
+    advect_theta(wavy_gaussian(make_grid(24, 16, 3.0)), 0.123)
+    before = _theta_stencil.cache_info()
+    index, u = _theta_stencil(make_grid(24, 16, 3.0), 0.123)
+    after = _theta_stencil.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    again = _theta_stencil(make_grid(24, 16, 3.0), 0.123)
+    assert again[0] is index and again[1] is u
+    assert not index.flags.writeable and not u.flags.writeable
 
 
 def test_cubic_clipping_is_reported():
