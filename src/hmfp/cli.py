@@ -4,7 +4,8 @@
 
 Commands: steady, evolve, stability, rearrange, diag.  A sweep fans the
 run out over the listed values of one config key, each variant fully
-isolated in its own hash-named directory; HMFP_THREADS caps the worker
+isolated in its own directory, named by the hash of its config, the
+command and the input snapshot; HMFP_THREADS caps the worker
 pool, and the variants' result lines come in the listed order.  Exit
 codes: 0 success, 1 config or I/O trouble, 2 an iterative solve failed to
 converge, 3 the time integrator aborted.
@@ -17,8 +18,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .config import load_config
 from .errors import ConfigError, ConvergenceError, SolverAbort
-from .experiment import (run_diag, run_evolve, run_rearrange, run_stability,
-                         run_steady)
+from .experiment import (input_digest, run_diag, run_evolve, run_rearrange,
+                         run_stability, run_steady)
 
 _EXIT_CONFIG = 1
 _EXIT_NONCONVERGENCE = 2
@@ -34,14 +35,16 @@ def _worker_count(n_jobs):
     return max(1, min(n_jobs, cap))
 
 
-def _sweep_configs(cfg, sweep):
+def _sweep_configs(cfg, sweep, command, input_path):
     if sweep is None:
         return [cfg]
     key, sep, values = sweep.partition("=")
     if not sep or not values:
         raise ConfigError("--sweep wants key=v1,v2,..., got %r" % sweep)
     jobs = [cfg.with_value(key.strip(), v.strip()) for v in values.split(",")]
-    dirs = [job.hash_prefix() for job in jobs]
+    # keyed as the runs are; steady reads no input
+    digest = None if command == "steady" else input_digest(input_path)
+    dirs = [job.run_key(command, digest) for job in jobs]
     for d in dirs:
         if dirs.count(d) > 1:
             raise ConfigError("--sweep variants share run directory %s" % d)
@@ -92,7 +95,7 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config)
-        jobs = _sweep_configs(cfg, args.sweep)
+        jobs = _sweep_configs(cfg, args.sweep, args.command, args.input)
         if len(jobs) == 1:
             print(_dispatch(args.command, jobs[0], args.input))
         else:

@@ -2,16 +2,16 @@
 
 A config is plain text, one `key = value` per line, `#` starting a comment
 and blank lines ignored.  Dots group related keys (grid.*, solver.*, ...).
-Unknown keys are rejected so typos fail loudly.  Every run is identified
-by the first ten hex digits of the sha256 of its fully resolved config
-text, which names the per-run output directory.
+Unknown keys are rejected so typos fail loudly.  The fully resolved config
+text is canonical: its sha256, together with the command and the input
+snapshot, names each run's output directory (ExperimentConfig.run_key).
 """
 
 import hashlib
 import math
 from dataclasses import dataclass, replace
 
-from .casimir import parse_casimir
+from .casimir import POWER, parse_casimir
 from .errors import ConfigError
 from .grid import PhaseGrid
 from .solver import SolverConfig
@@ -96,10 +96,12 @@ class ExperimentConfig:
         except ValueError as exc:
             # PhaseGrid and SolverConfig name the offending attribute first
             raise ConfigError("grid.%s" % exc) from exc
-        if self.m1 is not None and not self.m1 > 0.0:
-            raise ConfigError("constraints.m1 must be positive")
-        if self.mj is not None and not self.mj > 0.0:
-            raise ConfigError("constraints.mj must be positive")
+        if self.m1 is not None and not (math.isfinite(self.m1) and self.m1 > 0.0):
+            raise ConfigError("constraints.m1 must be finite and positive")
+        if self.mj is not None and not (math.isfinite(self.mj) and self.mj > 0.0):
+            raise ConfigError("constraints.mj must be finite and positive")
+        if self.mj is not None and self.casimir_spec().family != POWER:
+            raise ConfigError("constraints.mj needs a power casimir")
         if self.kind not in _PERTURBATION_KINDS:
             raise ConfigError("perturbation.kind must be one of %s"
                               % ", ".join(_PERTURBATION_KINDS))
@@ -152,8 +154,13 @@ class ExperimentConfig:
         return key_value_text((key, getattr(self, _KEYS[key][0]))
                               for key in sorted(_KEYS))
 
-    def hash_prefix(self):
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:10]
+    def run_key(self, command, input_sha256):
+        """Name of a run directory: the first ten hex digits of the sha256
+        of the canonical text, the command and the input snapshot's sha256
+        (None without an input)."""
+        text = self.canonical_text() + key_value_text(
+            [("command", command), ("input_sha256", input_sha256)])
+        return hashlib.sha256(text.encode()).hexdigest()[:10]
 
     def with_value(self, key, raw_value):
         """A copy with one key replaced by a raw string value."""

@@ -1,12 +1,14 @@
 """Config-driven experiment runs behind the command-line interface.
 
-Each run resolves its configuration, claims a directory named by the
-config hash under output.dir, and writes every artifact there: snapshots,
-reports, CSV time series.  Tables go through np.savetxt and reports
-through config.key_value_text, both with 17 significant digits, so
-identical configs and inputs reproduce identical bytes.
+Each run resolves its configuration, claims a directory under output.dir
+named by the hash of its config, command and input snapshot, and writes
+every artifact there: snapshots, reports, CSV time series.  Tables go
+through np.savetxt and reports through config.key_value_text, both with
+17 significant digits, so identical configs and inputs reproduce
+identical bytes.
 """
 
+import hashlib
 import os
 from pathlib import Path
 
@@ -27,9 +29,23 @@ from .steady import renormalize_to_constraints, self_consistent_solve
 STABILITY_HEADER = "t,orbital_distance,shift,mass,hamiltonian,casimir"
 
 
-def run_directory(cfg):
-    """Create (if needed) and return the per-run output directory."""
-    path = os.path.join(cfg.output_dir, cfg.hash_prefix())
+def input_digest(input_path):
+    """sha256 hex digest of an input snapshot's bytes; None without one."""
+    if input_path is None:
+        return None
+    digest = hashlib.sha256()
+    try:
+        with open(input_path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+    except OSError as exc:
+        raise ConfigError("cannot read snapshot %s: %s" % (input_path, exc)) from exc
+    return digest.hexdigest()
+
+
+def run_directory(cfg, command, input_path=None):
+    """Create (if needed) and return the output directory of one run."""
+    path = os.path.join(cfg.output_dir, cfg.run_key(command, input_digest(input_path)))
     os.makedirs(path, exist_ok=True)
     Path(path, "config.txt").write_text(cfg.canonical_text(), encoding="utf-8")
     return path
@@ -84,7 +100,7 @@ def run_steady(cfg):
     """
     spec = cfg.casimir_spec()
     result = _ground_state(cfg, spec)
-    out = run_directory(cfg)
+    out = run_directory(cfg, "steady")
     f, mult = result.field, result.multipliers
     save_snapshot(f, 0.0, os.path.join(out, "state.snap"))
     Path(out, "report.txt").write_text(key_value_text([
@@ -106,7 +122,7 @@ def run_evolve(cfg, input_path):
     """
     field, t0 = _require_input(input_path)
     spec = cfg.casimir_spec()
-    out = run_directory(cfg)
+    out = run_directory(cfg, "evolve", input_path)
     records = []
 
     def observer(rec, fld):
@@ -146,7 +162,7 @@ def run_stability(cfg, input_path=None):
         rows.append((rec.time, d, shift, rec.mass, rec.hamiltonian,
                      rec.casimir))
 
-    out = run_directory(cfg)
+    out = run_directory(cfg, "stability", input_path)
     evolve(start, cfg.solver_config(), observer=observer, casimir=spec)
     with open(os.path.join(out, "stability.csv"), "w", encoding="utf-8") as fh:
         np.savetxt(fh, rows, fmt="%.17g", delimiter=",",
@@ -177,7 +193,7 @@ def run_rearrange(cfg, input_path):
     ladder = level_grid(field, n_levels)
     raw = equimeasurability_defect(field, rearranged, ladder)
     banded = level_band_defect(field, rearranged, ladder)
-    out = run_directory(cfg)
+    out = run_directory(cfg, "rearrange", input_path)
     save_snapshot(rearranged, t0, os.path.join(out, "rearranged.snap"))
     Path(out, "rearrange_report.txt").write_text(key_value_text([
         ("sup_level_defect", raw), ("banded_defect", banded),
@@ -191,6 +207,6 @@ def run_diag(cfg, input_path):
     field, t0 = _require_input(input_path)
     spec = cfg.casimir_spec()
     rec = diagnostics(field, spec, t0)
-    out = run_directory(cfg)
+    out = run_directory(cfg, "diag", input_path)
     write_diagnostics_csv([rec], os.path.join(out, "diag.csv"))
     return out, rec

@@ -7,9 +7,10 @@ The central object is the sublevel measure of e(theta, v) = v**2/2 + phi,
     a(e) = sum_i 2 sqrt(2 (e - phi_i)_+) d_theta,
 
 which is exact in v (each theta section of the sublevel set is an interval)
-and discrete only in theta.  Its inverse is computed by bisection on the
-two-sided bound a_inv(s) in [s**2/(32 pi**2) + min phi,
-s**2/(32 pi**2) + max phi], which brackets the root for every potential.
+and discrete only in theta.  Its inverse is computed by the fixed-step
+bisection of the steady-state multiplier solves, on the two-sided bound
+a_inv(s) in [s**2/(32 pi**2) + min phi, s**2/(32 pi**2) + max phi], which
+brackets the root for every potential.
 Rearranging a field with respect to a potential composes the pseudo-inverse
 of its distribution function with this measure, giving a field that is
 nonincreasing along level sets of the microscopic energy and equimeasurable
@@ -24,7 +25,7 @@ import numpy as np
 
 from .grid import DistributionField, PhaseGrid, Potential
 from .interaction import solve_potential
-from .steady import SteadyStateResult, _damped_fixed_point
+from .steady import SteadyStateResult, _bisect, _damped_fixed_point
 
 # ---------------------------------------------------------------------------
 # Monotone profiles
@@ -143,14 +144,8 @@ def inverse_sublevel_measure(phi: Potential, s):
     scalar = s.ndim == 0
     s = np.atleast_1d(s)
     base = s * s / (32.0 * np.pi ** 2)
-    lo = base + float(phi.values.min())
-    hi = base + float(phi.values.max())
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        below = sublevel_measure_a(phi, mid) < s
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    out = 0.5 * (lo + hi)
+    out = _bisect(lambda e: sublevel_measure_a(phi, e) < s,
+                  base + float(phi.values.min()), base + float(phi.values.max()))
     return float(out[0]) if scalar else out
 
 

@@ -13,9 +13,11 @@ the multiplier equations are solved on exact one-dimensional maps and only
 the theta dependence is discrete.  The expensive grid sampling happens once,
 when a profile is materialized as a DistributionField.
 
-Multiplier equations are solved by bracketing bisection throughout: the maps
-are strictly monotone but their derivatives are kinked, so bisection is the
-unconditionally safe choice.
+The entropy multiplier has a closed form.  The power multipliers come from
+one fixed-step bisection in lambda: the maps are strictly monotone but
+their derivatives are kinked, so bisection is the unconditionally safe
+choice.  With two constraints the mass constraint fixes |mu| in closed
+form for each lambda, which leaves that single root.
 """
 
 from __future__ import annotations
@@ -185,97 +187,46 @@ def build_F_phi(
 
 
 # ---------------------------------------------------------------------------
-# Bisection plumbing
+# Multiplier solves
 # ---------------------------------------------------------------------------
 
 
-def _bisect_increasing(fn, target, lo, hi, grow_lo, grow_hi, rel_tol, what):
-    """Root of fn(x) = target for increasing fn, with bracket expansion.
+def _bisect(below, lo, hi):
+    """Elementwise root by 90 bisection steps on a given bracket.
 
-    grow_lo / grow_hi push the endpoints out geometrically until the bracket
-    straddles the target; then plain bisection runs until the function value
-    is within rel_tol relative of the target, capped at 200 steps each phase.
+    below(x) is True where the root lies above x; lo and hi are scalars or
+    arrays of one shape that bracket the root.  The endpoints themselves
+    are never evaluated.  90 halvings narrow any bracket of moderate width
+    to adjacent floats, so no tolerance is needed.
     """
-    f_lo = fn(lo)
-    for _ in range(200):
-        if f_lo <= target:
-            break
-        lo = grow_lo(lo)
-        f_lo = fn(lo)
-    else:
-        raise ConvergenceError(f"{what}: could not bracket target from below")
-    f_hi = fn(hi)
-    for _ in range(200):
-        if f_hi >= target:
-            break
-        hi = grow_hi(hi)
-        f_hi = fn(hi)
-    else:
-        raise ConvergenceError(f"{what}: could not bracket target from above")
-    tol = rel_tol * abs(target)
-    if abs(f_lo - target) <= tol:
-        return lo
-    if abs(f_hi - target) <= tol:
-        return hi
-    for _ in range(200):
+    for _ in range(90):
         mid = 0.5 * (lo + hi)
-        f_mid = fn(mid)
-        if abs(f_mid - target) <= tol:
-            return mid
-        if f_mid < target:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceError(
-        f"{what}: bisection did not reach tolerance {rel_tol:g} in 200 steps "
-        f"(residual {abs(f_mid - target):g}); the velocity window may be too "
-        f"small or the constraint unreachable"
-    )
-
-
-def _solve_lambda(
-    phi: Potential, spec: CasimirSpec, m1: float, s: float, rel_tol: float, what: str
-) -> float:
-    """Lambda with exact profile mass m1 at |mu| = s, by bisection.
-
-    The bracket starts at [min phi + eps, min phi + 1].  Below, it steps
-    down from min phi with doubling decrements (the mass map is 0 below
-    min phi for power families and decays exponentially for entropy, so
-    both directions terminate); above, it doubles the offset from min phi.
-    """
-    if spec.family == ENTROPY:
-        def mass_of(lam):
-            return SQRT_2PI * float(np.exp(lam - phi.values).sum()) * phi.grid.d_theta
-    else:
-        def mass_of(lam):
-            return _power_map(phi, spec, lam, s, 0.0)
-    min_phi = float(phi.values.min())
-    step = [1.0]
-
-    def grow_lo(lo):
-        d = step[0]
-        step[0] = 2.0 * d
-        return lo - d
-
-    def grow_hi(hi):
-        return min_phi + 2.0 * (hi - min_phi)
-
-    return _bisect_increasing(
-        mass_of, m1, min_phi + 1e-12, min_phi + 1.0, grow_lo, grow_hi,
-        rel_tol=rel_tol, what=what,
-    )
+        is_below = below(mid)
+        lo = np.where(is_below, mid, lo)
+        hi = np.where(is_below, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def solve_lambda_one(phi: Potential, spec: CasimirSpec, m1: float) -> float:
     """Multiplier of the one-constraint profile: mass(lambda) = m1.
 
-    Bisection on the strictly increasing exact mass map, bracket grown
-    geometrically from [min phi + eps, min phi + 1], relative tolerance
-    1e-10 on the mass.
+    The entropy mass sqrt(2 pi) sum exp(lambda - phi_i) d_theta inverts in
+    closed form.  The power mass c_k sum (lambda - phi_i)_+**(k + 1/2)
+    d_theta lies between its values for the flat potentials min phi and
+    max phi, so lambda lies in [min phi, max phi] + (m1 / (2 pi
+    c_k))**(1/(k + 1/2)), where it is bisected.
     """
     if not m1 > 0.0:
         raise ValueError("m1 must be positive")
-    return _solve_lambda(phi, spec, m1, 1.0, 1e-10, "solve_lambda_one")
+    min_phi = float(phi.values.min())
+    if spec.family == ENTROPY:
+        # shifted by min phi so the exponentials stay in range
+        weight = SQRT_2PI * float(np.exp(min_phi - phi.values).sum()) * phi.grid.d_theta
+        return min_phi + math.log(m1 / weight)
+    k = 1.0 / (spec.p - 1.0)
+    offset = (m1 / (TWO_PI * _power_coefficient(k, spec.p))) ** (1.0 / (k + 0.5))
+    return float(_bisect(lambda lam: _power_map(phi, spec, lam, 1.0, 0.0) < m1,
+                         min_phi + offset, float(phi.values.max()) + offset))
 
 
 def solve_multipliers_two(
@@ -283,33 +234,49 @@ def solve_multipliers_two(
 ) -> Multipliers:
     """Multiplier pair of the two-constraint profile.
 
-    Nested bisections: the inner loop pins lambda(mu) on the mass map, the
-    outer loop moves mu < 0 along the strictly increasing Casimir map until
-    it hits mj.  The outer bracket starts at [-1, -1e-6] and expands
-    geometrically both ways.
+    The power maps scale exactly in s = -mu: K(lambda, s) = s**-k K(lambda,
+    1) and G(lambda, s) = s**-(k+1) G(lambda, 1).  So the mass constraint
+    fixes s(lambda) = (K(lambda, 1) / m1)**(1/k), and G(lambda, s(lambda))
+    = mj is one root in lambda.  That Casimir value falls from +inf at
+    min phi to 0, so doubling or halving an offset from min phi brackets
+    the root between half the offset and the offset.
     """
     if spec.family != POWER:
         raise ValueError("the two-constraint solve needs the power family")
     if constraints.mj is None:
         raise ValueError("two-constraint solve requires mj")
+    k = 1.0 / (spec.p - 1.0)
+    min_phi = float(phi.values.min())
 
-    def lambda_of_mu(mu: float) -> float:
-        return _solve_lambda(phi, spec, constraints.m1, -mu, 1e-12, "lambda(mu)")
+    def s_of(lam):
+        return (_power_map(phi, spec, lam, 1.0, 0.0) / constraints.m1) ** (1.0 / k)
 
-    def casimir_of_mu(mu: float) -> float:
-        return _power_map(phi, spec, lambda_of_mu(mu), -mu, 1.0)
+    def casimir_above(lam):
+        s = s_of(lam)
+        # an empty profile (s = 0) has an infinite Casimir value
+        return s == 0.0 or _power_map(phi, spec, lam, s, 1.0) > constraints.mj
 
-    mu = _bisect_increasing(
-        casimir_of_mu,
-        constraints.mj,
-        -1.0,
-        -1e-6,
-        lambda lo: 2.0 * lo,
-        lambda hi: 0.5 * hi,
-        rel_tol=1e-10,
-        what="solve_multipliers_two",
-    )
-    return Multipliers(lam=lambda_of_mu(mu), mu=mu)
+    # the root lies in min phi + [offset / 2, offset]
+    offset = 1.0
+    for _ in range(200):
+        if casimir_above(min_phi + offset):
+            offset *= 2.0
+        elif not casimir_above(min_phi + 0.5 * offset):
+            offset *= 0.5
+        else:
+            break
+    else:
+        raise ConvergenceError("solve_multipliers_two: could not bracket the Casimir value")
+    lam = float(_bisect(casimir_above, min_phi + 0.5 * offset, min_phi + offset))
+    s = s_of(lam)
+    # a root within a few ulps of min phi leaves the Casimir value jumping
+    # past mj between adjacent floats
+    if not (s > 0.0 and abs(_power_map(phi, spec, lam, s, 1.0) - constraints.mj)
+            <= 1e-9 * constraints.mj):
+        raise ConvergenceError(
+            f"solve_multipliers_two: the Casimir value {constraints.mj:g} is out "
+            f"of reach in double precision; the profile collapses onto min phi")
+    return Multipliers(lam=lam, mu=-s)
 
 
 def solve_state_multipliers(
@@ -525,7 +492,7 @@ def renormalize_to_constraints(
     """Rescale amplitude and dilate velocity so a field meets the constraints.
 
     The output is gamma * g(theta, (gamma/lam) v) with lam = m1/||g|| and,
-    in the two-constraint problem, gamma solving the monotone equation
+    in the two-constraint problem, gamma the closed-form root of
     ||j(gamma g)|| / gamma = mj ||g|| / m1; the one-constraint form keeps
     gamma = 1.  Velocity resampling is linear with zero extension, followed
     by an exact mass rescale, so the mass is exact and the Casimir value is
@@ -543,21 +510,8 @@ def renormalize_to_constraints(
             raise ValueError("the two-constraint renormalization needs the power family")
         target = constraints.mj * total / constraints.m1
         j_norm = float(spec.j(g.values).sum()) * grid.cell_area
-
-        def casimir_per_gamma(gamma: float) -> float:
-            return float(spec.j(gamma * g.values).sum()) * grid.cell_area / gamma
-
-        exact = (target / j_norm) ** (1.0 / (spec.p - 1.0))  # root for j = t**p
-        gamma = _bisect_increasing(
-            casimir_per_gamma,
-            target,
-            exact,
-            exact,
-            lambda x: 0.5 * x,
-            lambda x: 2.0 * x,
-            rel_tol=1e-10,
-            what="renormalize gamma",
-        )
+        # ||j(gamma g)|| / gamma = gamma**(p-1) ||j(g)|| for j = t**p
+        gamma = (target / j_norm) ** (1.0 / (spec.p - 1.0))
     stretch = gamma / lam
     resampled = np.empty_like(g.values)
     sample_at = stretch * grid.v

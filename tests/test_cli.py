@@ -11,7 +11,7 @@ import hmfp.cli
 from hmfp.casimir import entropy_spec
 from hmfp.cli import main
 from hmfp.config import load_config
-from hmfp.experiment import STABILITY_HEADER, perturb
+from hmfp.experiment import STABILITY_HEADER, input_digest, perturb
 from hmfp.functionals import (
     diagnostics,
     mass,
@@ -145,6 +145,10 @@ def test_nonconvergence_exits_two(tmp_path, monkeypatch, capsys):
     # a shift of 2 v_max (v_max = 6) empties the velocity box
     {"perturbation.kind": "velocity_shift", "perturbation.amplitude": "12"},
     {"perturbation.kind": "velocity_shift", "perturbation.amplitude": "1e300"},
+    {"constraints.m1": "inf"},
+    {"casimir": "power:2", "constraints.mj": "inf"},
+    # the entropy family has no second constraint
+    {"casimir": "entropy", "constraints.mj": "1.0"},
 ], ids=lambda case: "-".join("%s-%s" % kv for kv in case.items()))
 def test_out_of_range_config_value_exits_one(tmp_path, monkeypatch, capsys,
                                              case):
@@ -180,6 +184,39 @@ def test_evolve_zero_horizon_round_trips_the_snapshot(tmp_path, monkeypatch):
     assert np.array_equal(field.values, f0.values)
     rows = read_diagnostics_csv(os.path.join(run_dir, "diagnostics.csv"))
     assert len(rows) == 1 and rows[0].time == 1.5
+
+
+def test_run_directory_is_named_by_command_config_and_input(tmp_path,
+                                                            monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    snap, f = write_probe_snapshot(tmp_path, n=16)
+    other = str(tmp_path / "other.snap")
+    save_snapshot(f, 0.5, other)
+    copy = str(tmp_path / "copy.snap")
+    with open(snap, "rb") as src, open(copy, "wb") as dst:
+        dst.write(src.read())
+    cfg = write_cfg(tmp_path, "grid.n_theta = 16\ngrid.n_v = 16\n"
+                              "constraints.m1 = 3.0\nsolver.t_end = 0.1\n")
+
+    def run(*argv):
+        assert main(list(argv) + ["--config", cfg]) == 0
+        return capsys.readouterr().out.partition(": ")[0]
+
+    steady = run("steady")
+    evolve = run("evolve", "--input", snap)
+    evolve_other = run("evolve", "--input", other)
+    assert len({steady, evolve, evolve_other}) == 3
+    assert len(run_dirs(tmp_path)) == 3
+    # the key hashes the input's bytes, not its path
+    assert run("evolve", "--input", copy) == evolve
+    assert run("steady") == steady
+    assert run("steady", "--input", snap) == steady  # steady reads no input
+    assert len(run_dirs(tmp_path)) == 3
+    assert os.path.exists(os.path.join(steady, "state.snap"))
+    # the sweep check keys each variant as its run does
+    assert main(["steady", "--config", cfg, "--input", snap,
+                 "--sweep", "constraints.m1=3.0,3"]) == 1
+    assert os.path.basename(steady) in capsys.readouterr().err
 
 
 def test_evolve_reruns_are_byte_identical(tmp_path, monkeypatch):
@@ -389,7 +426,8 @@ def test_sweep_lines_are_whole_and_in_listed_order(tmp_path, monkeypatch,
     assert main(["diag", "--config", cfg_path, "--input", snap,
                  "--sweep", "solver.dt=" + ",".join(values)]) == 0
     cfg = load_config(cfg_path)
-    dirs = [os.path.join("runs", cfg.with_value("solver.dt", v).hash_prefix())
+    digest = input_digest(snap)
+    dirs = [os.path.join("runs", cfg.with_value("solver.dt", v).run_key("diag", digest))
             for v in values]
     lines = capsys.readouterr().out.splitlines()
     assert [line.partition(": ")[0] for line in lines] == dirs

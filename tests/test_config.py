@@ -108,16 +108,17 @@ def test_hash_ignores_formatting_but_not_values():
     a = parse_config("solver.dt = 0.1\ngrid.n_theta = 64\n")
     b = parse_config("# order and spacing differ\ngrid.n_theta=64\n\nsolver.dt   =    0.1\n")
     c = parse_config("solver.dt = 0.1\ngrid.n_theta = 32\n")
-    assert a.hash_prefix() == b.hash_prefix()
-    assert a.hash_prefix() != c.hash_prefix()
-    assert len(a.hash_prefix()) == 10
-    assert set(a.hash_prefix()) <= set("0123456789abcdef")
+    key = a.run_key("steady", None)
+    assert key == b.run_key("steady", None)
+    assert key != c.run_key("steady", None)
+    assert len(key) == 10
+    assert set(key) <= set("0123456789abcdef")
 
 
 def test_hash_covers_float_values_exactly():
     a = parse_config("constraints.m1 = %.17g\n" % math.pi)
     b = parse_config("constraints.m1 = %.17g\n" % (math.pi * (1 + 1e-15)))
-    assert a.hash_prefix() != b.hash_prefix()
+    assert a.run_key("steady", None) != b.run_key("steady", None)
 
 
 def test_with_value_replaces_one_key():
@@ -144,4 +145,4 @@ def test_load_config_reads_a_file(tmp_path):
 
 def test_default_config_is_constructible_directly():
     cfg = ExperimentConfig()
-    assert cfg.hash_prefix() == parse_config("").hash_prefix()
+    assert cfg.run_key("steady", None) == parse_config("").run_key("steady", None)

@@ -131,6 +131,22 @@ def test_inverse_measure_round_trip_and_bounds():
     assert np.all(e <= hi + 1e-12)
 
 
+def test_inverse_measure_matches_the_bisection_loop_bitwise():
+    # reference: the 90-step loop on the exact bracket, written out
+    g = make_grid(64, 32, 6.0)
+    phi = cosine_potential(g, a=0.7)
+    s = np.linspace(0.0, 80.0, 401)
+    base = s * s / (32.0 * np.pi ** 2)
+    lo = base + float(phi.values.min())
+    hi = base + float(phi.values.max())
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        below = sublevel_measure_a(phi, mid) < s
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    assert inverse_sublevel_measure(phi, s).tobytes() == (0.5 * (lo + hi)).tobytes()
+
+
 def test_convex_B_flat_closed_form():
     g = make_grid(32, 32, 6.0)
     phi = flat_potential(g)

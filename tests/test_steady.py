@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmfp.casimir import entropy_spec, power_spec
 from hmfp.errors import ConvergenceError, SolverAbort
 from hmfp.experiment import seed_potential
 from hmfp.functionals import casimir_integral, free_energy_J, hamiltonian, mass
-from hmfp.grid import Potential, make_grid
+from hmfp.grid import DistributionField, Potential, make_grid
 from hmfp.interaction import solve_potential
 from hmfp.rearrange import equimeasurable_minimize
 from hmfp.steady import (
@@ -21,6 +23,7 @@ from hmfp.steady import (
     ode_force,
     ode_force_primitive,
     ode_profile_solve,
+    _power_map,
     profile_moments,
     renormalize_to_constraints,
     self_consistent_solve,
@@ -67,6 +70,141 @@ def test_power2_multipliers_closed_form():
     )
     assert mult.lam == pytest.approx(1.0, abs=1e-7)
     assert mult.mu == pytest.approx(-1.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_power_lambda_closed_form(p):
+    # flat potential: mass = 2 pi c_k lambda**(k + 1/2) with
+    # c_k = 2 sqrt(2) B(k) p**-k and B(k) = sqrt(pi) Gamma(k+1) / (2 Gamma(k+3/2))
+    g = make_grid(64, 64, 6.0)
+    k = 1.0 / (p - 1.0)
+    beta = math.sqrt(math.pi) * math.gamma(k + 1.0) / (2.0 * math.gamma(k + 1.5))
+    c_k = 2.0 * math.sqrt(2.0) * beta * p ** (-k)
+    for m1 in (0.5, 3.0, 11.0):
+        lam = solve_lambda_one(flat_potential(g), power_spec(p), m1)
+        assert lam == pytest.approx((m1 / (TWO_PI * c_k)) ** (1.0 / (k + 0.5)),
+                                    rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# Reference two-constraint solve: an outer bisection in mu around an inner
+# one for lambda(mu), stopping at relative tolerances 1e-10 and 1e-12.
+
+
+def _bisect_increasing(fn, target, lo, hi, grow_lo, grow_hi, rel_tol):
+    f_lo = fn(lo)
+    for _ in range(200):
+        if f_lo <= target:
+            break
+        lo = grow_lo(lo)
+        f_lo = fn(lo)
+    else:
+        raise ConvergenceError("could not bracket target from below")
+    f_hi = fn(hi)
+    for _ in range(200):
+        if f_hi >= target:
+            break
+        hi = grow_hi(hi)
+        f_hi = fn(hi)
+    else:
+        raise ConvergenceError("could not bracket target from above")
+    tol = rel_tol * abs(target)
+    if abs(f_lo - target) <= tol:
+        return lo
+    if abs(f_hi - target) <= tol:
+        return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = fn(mid)
+        if abs(f_mid - target) <= tol:
+            return mid
+        if f_mid < target:
+            lo = mid
+        else:
+            hi = mid
+    raise ConvergenceError("bisection did not reach tolerance")
+
+
+def _nested_lambda(phi, spec, m1, s, rel_tol):
+    min_phi = float(phi.values.min())
+    step = [1.0]
+
+    def grow_lo(lo):
+        d = step[0]
+        step[0] = 2.0 * d
+        return lo - d
+
+    return _bisect_increasing(
+        lambda lam: _power_map(phi, spec, lam, s, 0.0), m1,
+        min_phi + 1e-12, min_phi + 1.0, grow_lo,
+        lambda hi: min_phi + 2.0 * (hi - min_phi), rel_tol)
+
+
+def _nested_multipliers_two(phi, spec, m1, mj):
+    def lambda_of_mu(mu):
+        return _nested_lambda(phi, spec, m1, -mu, 1e-12)
+
+    mu = _bisect_increasing(
+        lambda mu: _power_map(phi, spec, lambda_of_mu(mu), -mu, 1.0), mj,
+        -1.0, -1e-6, lambda lo: 2.0 * lo, lambda hi: 0.5 * hi, 1e-10)
+    return Multipliers(lam=lambda_of_mu(mu), mu=mu)
+
+
+def _casimir_on_mass_constraint(phi, spec, m1, lam):
+    """G(lambda, s) at the |mu| = s that meets the mass constraint."""
+    k = 1.0 / (spec.p - 1.0)
+    s = (_power_map(phi, spec, lam, 1.0, 0.0) / m1) ** (1.0 / k)
+    return _power_map(phi, spec, lam, s, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0), p=st.floats(1.2, 5.0),
+       m1=st.floats(0.5, 20.0), mj=st.floats(0.1, 20.0))
+def test_multiplier_solves_meet_constraints_and_match_the_nested_bisection(
+        a, b, p, m1, mj):
+    g = make_grid(32, 8, 6.0)
+    phi = wavy_potential(g, a, b)
+    for spec in (entropy_spec(), power_spec(p)):
+        lam = solve_lambda_one(phi, spec, m1)
+        mom = profile_moments(phi, spec, Multipliers(lam=lam))
+        assert mom.mass == pytest.approx(m1, rel=1e-11)
+    spec = power_spec(p)
+    try:
+        ref = _nested_multipliers_two(phi, spec, m1, mj)
+    except ConvergenceError:
+        ref = None  # its inner bisection cannot always reach 1e-12
+    try:
+        mult = solve_multipliers_two(phi, spec, ConstraintSet(m1=m1, mj=mj))
+    except ConvergenceError:
+        assert ref is None, "only where the nested bisection fails as well"
+        return
+    mom = profile_moments(phi, spec, mult)
+    assert mom.mass == pytest.approx(m1, rel=1e-11)
+    # Where lambda sits within about 1e-6 |lambda| of min phi, the Casimir
+    # value moves by more than 1e-11 between adjacent floats of lambda.
+    step = abs(_casimir_on_mass_constraint(phi, spec, m1, np.nextafter(mult.lam, np.inf))
+               - _casimir_on_mass_constraint(phi, spec, m1, mult.lam))
+    assert abs(mom.casimir - mj) <= max(1e-11 * mj, step)
+    if ref is None:
+        return
+    # The reference stops once its Casimir value is within 1e-10.  Along
+    # the mass constraint |d log G / d log |mu|| >= 1 / (2k + 1), the flat
+    # potential being the extreme, so its |mu| and its height
+    # lambda - min phi are good to (2k + 1) 1e-10: 1e-9 once p >= 1.23.
+    # The height is compared, not lambda, which may cross zero.
+    k = 1.0 / (p - 1.0)
+    rel = max(1e-9, (2.0 * k + 1.0) * 1.1e-10)
+    min_phi = float(phi.values.min())
+    assert mult.lam - min_phi == pytest.approx(ref.lam - min_phi, rel=rel)
+    assert mult.mu == pytest.approx(ref.mu, rel=rel)
+
+
+def test_unresolvable_casimir_value_raises_convergence_error():
+    # lambda - min phi would be about 7e-10 at |lambda| = 0.93, where one
+    # float step of lambda moves the Casimir value by 2e-8 relative
+    phi = wavy_potential(make_grid(32, 8, 6.0), a=0.26, b=0.75)
+    with pytest.raises(ConvergenceError, match="out of reach"):
+        solve_multipliers_two(phi, power_spec(1.211), ConstraintSet(m1=1.53, mj=19.8))
 
 
 def test_multiplier_solve_meets_constraints_for_random_potentials():
@@ -295,6 +433,55 @@ def test_renormalize_resampling_error_shrinks_quadratically():
         out = renormalize_to_constraints(f, spec, cons)
         errs.append(abs(casimir_integral(out, spec) - cons.mj) / cons.mj)
     assert errs[1] <= errs[0] / 8.0
+
+
+def _renormalize_with_bisected_gamma(g, spec, constraints):
+    """renormalize_to_constraints with gamma bisected from a start at the
+    closed-form root."""
+    grid = g.grid
+    total = float(g.values.sum()) * grid.cell_area
+    lam = constraints.m1 / total
+    target = constraints.mj * total / constraints.m1
+    j_norm = float(spec.j(g.values).sum()) * grid.cell_area
+
+    def casimir_per_gamma(gamma):
+        return float(spec.j(gamma * g.values).sum()) * grid.cell_area / gamma
+
+    exact = (target / j_norm) ** (1.0 / (spec.p - 1.0))
+    gamma = _bisect_increasing(casimir_per_gamma, target, exact, exact,
+                               lambda x: 0.5 * x, lambda x: 2.0 * x, 1e-10)
+    stretch = gamma / lam
+    resampled = np.empty_like(g.values)
+    sample_at = stretch * grid.v
+    for i in range(grid.n_theta):
+        resampled[i] = np.interp(sample_at, grid.v, g.values[i], left=0.0, right=0.0)
+    resampled *= gamma
+    resampled *= constraints.m1 / (float(resampled.sum()) * grid.cell_area)
+    return DistributionField(grid, resampled)
+
+
+# the two-constraint renormalizations of the tests above; scales None take
+# the POWER2 pair
+@pytest.mark.parametrize("n_theta, n_v, v_max, seed, scales", [
+    (16, 128, 8.0, 42, (1.0, 1.0)),
+    (16, 16384, 8.0, 42, (1.37, 0.81)),
+    (16, 4096, 8.0, 42, (1.37, 0.81)),
+    (64, 64, 6.0, 31, None),
+    (64, 64, 6.0, 32, None),
+    (64, 64, 6.0, 33, None),
+])
+def test_renormalize_matches_the_bisected_gamma_bitwise(n_theta, n_v, v_max,
+                                                        seed, scales):
+    spec = power_spec(2.0)
+    f = smooth_random_field(make_grid(n_theta, n_v, v_max), seed)
+    if scales is None:
+        cons = ConstraintSet(m1=POWER2_M1, mj=POWER2_MJ)
+    else:
+        cons = ConstraintSet(m1=scales[0] * mass(f),
+                             mj=scales[1] * casimir_integral(f, spec))
+    out = renormalize_to_constraints(f, spec, cons)
+    ref = _renormalize_with_bisected_gamma(f, spec, cons)
+    assert out.values.tobytes() == ref.values.tobytes()
 
 
 def test_ode_force_root_is_stationary():
