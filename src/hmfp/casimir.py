@@ -36,8 +36,11 @@ class CasimirSpec:
         if self.family == POWER:
             out = t ** self.p
         else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.where(t > 0.0, t * np.log(np.where(t > 0.0, t, 1.0)), 0.0)
+            # t*log(t) where t > 0; zero, negative and nan cells stay +0.0
+            mask = t > 0.0
+            out = np.zeros_like(t)
+            np.log(t, out=out, where=mask)
+            np.multiply(out, t, out=out, where=mask)
         return out if out.ndim else float(out)
 
     def j_prime(self, t):

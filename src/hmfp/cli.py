@@ -42,8 +42,8 @@ def _sweep_configs(cfg, sweep, command, input_path):
     if not sep or not values:
         raise ConfigError("--sweep wants key=v1,v2,..., got %r" % sweep)
     jobs = [cfg.with_value(key.strip(), v.strip()) for v in values.split(",")]
-    # keyed as the runs are; steady reads no input
-    digest = None if command == "steady" else input_digest(input_path)
+    # keyed as the runs are
+    digest = input_digest(input_path)
     dirs = [job.run_key(command, digest) for job in jobs]
     for d in dirs:
         if dirs.count(d) > 1:
@@ -83,7 +83,8 @@ def main(argv=None):
     for name in ("steady", "evolve", "stability", "rearrange", "diag"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="config file path")
-        p.add_argument("--input", default=None, help="input snapshot path")
+        p.add_argument("--input", default=None,
+                       help="input snapshot path (not for steady)")
         p.add_argument("--sweep", default=None,
                        help="fan out over key=v1,v2,... config variants")
 
@@ -94,6 +95,9 @@ def main(argv=None):
         return 0 if code == 0 else _EXIT_CONFIG
 
     try:
+        if args.command == "steady" and args.input is not None:
+            raise ConfigError("steady reads no input snapshot, got --input %s"
+                              % args.input)
         cfg = load_config(args.config)
         jobs = _sweep_configs(cfg, args.sweep, args.command, args.input)
         if len(jobs) == 1:

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from hmfp.casimir import entropy_spec, parse_casimir, power_spec
 
@@ -77,3 +80,26 @@ def test_entropy_j_continuous_at_zero():
     assert np.all(np.isfinite(vals))
     # t log t tends to zero from below
     assert vals[2] < 0.0
+
+
+def _entropy_j_double_where(t):
+    """The entropy j as it was first written, the reference for the bytes."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(t > 0.0, t * np.log(np.where(t > 0.0, t, 1.0)), 0.0)
+    return out if out.ndim else float(out)
+
+
+edge_values = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, 1.7976931348623157e308,
+     -1.0, math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=edge_values | arrays(np.float64, array_shapes(min_dims=0, max_dims=2),
+                              elements=edge_values))
+def test_entropy_j_matches_the_double_where_bitwise(t):
+    with np.errstate(over="ignore"):
+        got, want = entropy_spec().j(t), _entropy_j_double_where(t)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

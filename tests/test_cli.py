@@ -110,6 +110,20 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
     assert "steady.tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("snapshot", ["ghost.snap", "probe.snap"])
+def test_steady_rejects_an_input_snapshot(tmp_path, monkeypatch, capsys,
+                                          snapshot):
+    monkeypatch.chdir(tmp_path)
+    write_probe_snapshot(tmp_path)
+    cfg = write_cfg(tmp_path, "grid.n_theta = 16\ngrid.n_v = 16\n"
+                              "constraints.m1 = 3.0\n")
+    assert main(["steady", "--config", cfg,
+                 "--input", str(tmp_path / snapshot)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--input" in err
+    assert run_dirs(tmp_path) == []
+
+
 def test_missing_config_file_exits_one(tmp_path, capsys):
     assert main(["steady", "--config", str(tmp_path / "nope.cfg")]) == 1
     assert "cannot read config" in capsys.readouterr().err
@@ -210,11 +224,10 @@ def test_run_directory_is_named_by_command_config_and_input(tmp_path,
     # the key hashes the input's bytes, not its path
     assert run("evolve", "--input", copy) == evolve
     assert run("steady") == steady
-    assert run("steady", "--input", snap) == steady  # steady reads no input
     assert len(run_dirs(tmp_path)) == 3
     assert os.path.exists(os.path.join(steady, "state.snap"))
     # the sweep check keys each variant as its run does
-    assert main(["steady", "--config", cfg, "--input", snap,
+    assert main(["steady", "--config", cfg,
                  "--sweep", "constraints.m1=3.0,3"]) == 1
     assert os.path.basename(steady) in capsys.readouterr().err
 

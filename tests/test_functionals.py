@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmfp.casimir import entropy_spec, power_spec
 from hmfp.functionals import (
@@ -127,6 +129,77 @@ def test_orbital_distance_matches_rolled_scan_exactly():
     d, shift = orbital_distance(flat, other)
     assert (d, shift) == _rolled_scan(flat, other)
     assert shift == 0.0 and d > 0.0
+    # subnormal cells: products with the weights round with an absolute
+    # error, which a slack relative to the row masses alone does not cover
+    g = make_grid(8, 8, 20.0)
+    a, b = np.zeros((2, 8, 8))
+    a[0, 2], a[5, 0], b[2, 0], b[7, 0] = np.array([3, 2, 4, 4]) * 5e-324
+    a, b = DistributionField(g, a), DistributionField(g, b)
+    assert orbital_distance(a, b) == _rolled_scan(a, b)
+
+
+@st.composite
+def shift_pairs(draw):
+    """Two fields on one 8-40 cell grid, in a case that stresses the pruning.
+
+    random: independent fields, some cells zero.
+    near_tie: f is g rolled, with 1-ulp noise, and g repeats with a period
+        that divides n_theta, so several shifts are within ulps of the best.
+    mirrored_rows: every row of f (of g) is one base row with a random set
+        of mirror pairs v <-> -v swapped; the weights 1 + v**2 are mirror
+        symmetric, so the row masses and with them all bounds are equal up
+        to rounding, and nothing can be pruned.
+    equal_rows: every row of f (of g) is the same, so every shift ties.
+    zero: f, g or both vanish.
+    subnormal: a few cells at the smallest subnormal; on a narrow velocity
+        box every distance underflows to 0, so every shift ties at 0 while
+        the bounds still differ.
+    All but subnormal are scaled by 1, 1e-300 or 1e300.
+    """
+    n_theta = draw(st.integers(8, 40))
+    n_v = draw(st.integers(8, 40))
+    grid = make_grid(n_theta, n_v, draw(st.sampled_from([1e-3, 1.0, 6.0, 20.0])))
+    kind = draw(st.sampled_from(["random", "near_tie", "mirrored_rows",
+                                 "equal_rows", "zero", "subnormal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (n_theta, n_v)
+    if kind == "random":
+        a = rng.uniform(0.0, 1.0, shape) * (rng.uniform(size=shape) > 0.2)
+        b = rng.uniform(0.0, 1.0, shape) * (rng.uniform(size=shape) > 0.2)
+    elif kind == "near_tie":
+        period = draw(st.sampled_from([p for p in range(1, n_theta + 1)
+                                       if n_theta % p == 0]))
+        b = np.tile(rng.uniform(0.0, 1.0, (period, n_v)), (n_theta // period, 1))
+        a = np.roll(b, draw(st.integers(0, n_theta - 1)), axis=0)
+        nudge = rng.uniform(size=shape) < 0.5
+        a[nudge] = np.nextafter(a[nudge], 2.0)
+    elif kind == "mirrored_rows":
+        def mirrored(base):
+            swap = rng.uniform(size=shape) < 0.5
+            swap |= swap[:, ::-1]
+            rows = np.tile(base, (n_theta, 1))
+            return np.where(swap, rows[:, ::-1], rows)
+        a = mirrored(rng.uniform(0.0, 1.0, n_v))
+        b = mirrored(rng.uniform(0.0, 1.0, n_v))
+    elif kind == "equal_rows":
+        a = np.tile(rng.uniform(0.0, 1.0, n_v), (n_theta, 1))
+        b = np.tile(rng.uniform(0.0, 1.0, n_v), (n_theta, 1))
+    elif kind == "zero":
+        a, b = rng.uniform(0.0, 1.0, (2,) + shape)
+        a, b = draw(st.sampled_from([(a, 0 * b), (0 * a, b), (0 * a, 0 * b)]))
+    else:
+        a, b = (rng.uniform(size=(2,) + shape) < 0.05) * 5e-324
+    if kind != "subnormal":
+        scale = draw(st.sampled_from([1.0, 1e-300, 1e300]))
+        a, b = a * scale, b * scale
+    return DistributionField(grid, a), DistributionField(grid, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=shift_pairs())
+def test_pruned_orbital_distance_equals_the_full_scan(pair):
+    f, g = pair
+    assert orbital_distance(f, g) == _rolled_scan(f, g)
 
 
 def test_orbital_distance_upper_bounded_by_unshifted():
