@@ -76,11 +76,17 @@ def entropy_spec() -> CasimirSpec:
     return CasimirSpec(family=ENTROPY, p=None)
 
 
+# steady's closed-form velocity integrals divide by 2 math.gamma(k + 5/2),
+# k = 1/(p - 1), which overflows once k + 5/2 passes 171.49 (the Casimir
+# coefficient then reads 0): k <= 168, p >= 1 + 1/168 ~ 1.00595, is safe.
+POWER_MIN_EXPONENT = 1.0 + 1.0 / 168.0
+
+
 def power_spec(p: float) -> CasimirSpec:
-    """The t**p generator for p > 1."""
+    """The t**p generator for finite p >= POWER_MIN_EXPONENT."""
     p = float(p)
-    if not p > 1.0:
-        raise ValueError(f"power exponent must exceed 1, got {p}")
+    if not POWER_MIN_EXPONENT <= p < np.inf:
+        raise ValueError(f"power exponent must be finite and at least 1 + 1/168, got {p}")
     return CasimirSpec(family=POWER, p=p)
 
 
@@ -94,7 +100,7 @@ def parse_casimir(text: str) -> CasimirSpec:
         The corresponding CasimirSpec.
 
     Raises:
-        ValueError: unknown family, malformed exponent, or p <= 1.
+        ValueError: unknown family, malformed exponent, or p out of range.
     """
     text = text.strip()
     if text == ENTROPY:
@@ -106,5 +112,5 @@ def parse_casimir(text: str) -> CasimirSpec:
         except ValueError:
             raise ValueError(f"malformed power exponent: {body!r}") from None
         return power_spec(p)
-    raise ValueError(f'casimir must be "entropy" or "power:<p>", got {text!r}')
+    raise ValueError(f'expected "entropy" or "power:<p>", got {text!r}')
 

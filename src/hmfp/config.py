@@ -15,7 +15,7 @@ from .casimir import POWER, parse_casimir
 from .errors import ConfigError
 from .grid import PhaseGrid
 from .solver import SolverConfig
-from .steady import ConstraintSet
+from .steady import ConstraintSet, _check_fixed_point_settings
 
 _PERTURBATION_KINDS = ("density_bump", "velocity_shift", "random_noise")
 _PHI_SOURCES = ("self", "zero")
@@ -90,16 +90,15 @@ class ExperimentConfig:
         try:
             parse_casimir(self.casimir)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError("casimir: %s" % exc) from exc
         try:
             self.grid()
         except ValueError as exc:
-            # PhaseGrid and SolverConfig name the offending attribute first
+            # the grid and solver checks name the offending attribute first
             raise ConfigError("grid.%s" % exc) from exc
-        if self.m1 is not None and not (math.isfinite(self.m1) and self.m1 > 0.0):
-            raise ConfigError("constraints.m1 must be finite and positive")
-        if self.mj is not None and not (math.isfinite(self.mj) and self.mj > 0.0):
-            raise ConfigError("constraints.mj must be finite and positive")
+        for key, value in (("m1", self.m1), ("mj", self.mj)):
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigError("constraints.%s must be finite and positive" % key)
         if self.mj is not None and self.casimir_spec().family != POWER:
             raise ConfigError("constraints.mj needs a power casimir")
         if self.kind not in _PERTURBATION_KINDS:
@@ -118,17 +117,15 @@ class ExperimentConfig:
         if self.kind == "velocity_shift" and not self.amplitude < 2.0 * self.v_max:
             raise ConfigError("perturbation.amplitude must be below "
                               "2 * grid.v_max for velocity_shift")
+        # numpy's generator takes no negative seed
+        if self.seed < 0:
+            raise ConfigError("perturbation.seed must be nonnegative")
         if self.phi_source not in _PHI_SOURCES:
             raise ConfigError("rearrange.phi must be 'self' or 'zero'")
         if self.snapshot_every < 0:
             raise ConfigError("solver.snapshot_every must be nonnegative")
-        if not 0.0 < self.damping <= 1.0:
-            raise ConfigError("solver.damping must lie in (0, 1]")
-        if not self.tol >= 0.0:
-            raise ConfigError("solver.tol must be nonnegative")
-        if self.max_iter < 1:
-            raise ConfigError("solver.max_iter must be at least 1")
         try:
+            _check_fixed_point_settings(self.damping, self.tol, self.max_iter)
             self.solver_config()
         except ValueError as exc:
             raise ConfigError("solver.%s" % exc) from exc
@@ -166,13 +163,17 @@ class ExperimentConfig:
         """A copy with one key replaced by a raw string value."""
         if key not in _KEYS:
             raise ConfigError("unknown key %r" % key)
-        attr, parser = _KEYS[key]
-        try:
-            return replace(self, **{attr: parser(raw_value)})
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError("bad value for %s: %s" % (key, exc)) from exc
+        attr, value = _parse_value(key, raw_value)
+        return replace(self, **{attr: value})
+
+
+def _parse_value(key, raw_value):
+    """(attribute, parsed value) of one known key's raw string value."""
+    attr, parser = _KEYS[key]
+    try:
+        return attr, parser(raw_value)
+    except ValueError as exc:
+        raise ConfigError("bad value for %s: %s" % (key, exc)) from exc
 
 
 def _format_value(value):
@@ -211,17 +212,8 @@ def parse_config(text):
         if key in seen:
             raise ConfigError("key %r repeated on line %d" % (key, lineno))
         seen[key] = value
-
-    kwargs = {}
-    for key, value in seen.items():
-        attr, parser = _KEYS[key]
-        try:
-            kwargs[attr] = parser(value)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError("bad value for %s: %s" % (key, exc)) from exc
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**dict(_parse_value(key, value)
+                                   for key, value in seen.items()))
 
 
 def load_config(path):
@@ -229,6 +221,6 @@ def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc)) from exc
     return parse_config(text)

@@ -184,15 +184,10 @@ class DiagnosticsRecord:
         return ",".join(f"{getattr(self, f.name):.17g}" for f in fields(self))
 
 
-def diagnostics(
-    f: DistributionField, spec: CasimirSpec, time: float = 0.0,
-    potential: Potential | None = None,
-) -> DiagnosticsRecord:
+def diagnostics(f: DistributionField, spec: CasimirSpec, time: float = 0.0) -> DiagnosticsRecord:
     """Evaluate every diagnostic scalar of a field at the given time."""
-    if potential is None:
-        potential = solve_potential(f)
     kin = kinetic_energy(f)
-    pot = potential_energy(f, potential)
+    pot = potential_energy(f)
     return DiagnosticsRecord(
         time=time,
         mass=mass(f),

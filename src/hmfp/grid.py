@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,8 @@ class PhaseGrid:
             raise ValueError(f"n_theta must be at least 8, got {self.n_theta}")
         if self.n_v < 8:
             raise ValueError(f"n_v must be at least 8, got {self.n_v}")
-        if not self.v_max > 0:
-            raise ValueError(f"v_max must be positive, got {self.v_max}")
+        if not (self.v_max > 0 and 2.0 * float(self.v_max) < np.inf):  # d_v finite too
+            raise ValueError(f"v_max must be positive with 2 * v_max finite, got {self.v_max}")
         object.__setattr__(self, "n_theta", int(self.n_theta))
         object.__setattr__(self, "n_v", int(self.n_v))
         object.__setattr__(self, "v_max", float(self.v_max))
@@ -62,6 +63,23 @@ def make_grid(n_theta: int, n_v: int, v_max: float) -> PhaseGrid:
     return PhaseGrid(n_theta, n_v, v_max)
 
 
+def _adopt(values, shape, what, mismatch, nonnegative=False):
+    """Read-only, C-contiguous float64 copy of values, checked for its shape
+    (else mismatch, formatted with the shape found), for finite values and,
+    when nonnegative is set, for no value below zero (-0.0 passes)."""
+    out = np.array(values, dtype=float, order="C")
+    if out.shape != shape:
+        raise ValueError(mismatch.format(shape=out.shape))
+    # NaN propagates through min, so one min/max pair passes every good
+    # array; the detailed scan runs only on failure, and finiteness wins
+    if not (out.min() >= (0.0 if nonnegative else -_FLOAT_MAX) and out.max() < np.inf):
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"{what} values must be finite")
+        raise ValueError(f"{what} values must be nonnegative")
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class DistributionField:
     """Nonnegative sampled phase-space density f(theta, v) on a PhaseGrid.
@@ -75,17 +93,10 @@ class DistributionField:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float, order="C")  # rows contiguous
-        if values.shape != (self.grid.n_theta, self.grid.n_v):
-            raise ValueError(
-                f"values shape {values.shape} does not match grid "
-                f"({self.grid.n_theta}, {self.grid.n_v})"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
-        if np.any(values < 0):
-            raise ValueError("field values must be nonnegative")
-        values.flags.writeable = False
+        shape = (self.grid.n_theta, self.grid.n_v)
+        values = _adopt(self.values, shape, "field",
+                        "values shape {shape} does not match grid %s" % (shape,),
+                        nonnegative=True)
         object.__setattr__(self, "values", values)
 
     def __repr__(self) -> str:
@@ -112,16 +123,13 @@ class Potential:
     derivative: np.ndarray
 
     def __post_init__(self):
-        n = self.grid.n_theta
-        values = np.asarray(self.values, dtype=float)
-        derivative = np.array(self.derivative, dtype=float)
-        if values.shape != (n,) or derivative.shape != (n,):
-            raise ValueError("potential arrays must have shape (n_theta,)")
-        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(derivative))):
-            raise ValueError("potential values must be finite")
-        values = values - values.mean()
-        values.flags.writeable = False
-        derivative.flags.writeable = False
+        shape = (self.grid.n_theta,)
+        mismatch = "potential arrays must have shape (n_theta,)"
+        values = _adopt(self.values, shape, "potential", mismatch)
+        derivative = _adopt(self.derivative, shape, "potential", mismatch)
+        # centered once checked, as inf - inf would warn; an overflowing
+        # mean still ends in "must be finite"
+        values = _adopt(values - values.mean(), shape, "potential", mismatch)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "derivative", derivative)
 

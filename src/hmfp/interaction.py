@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import TWO_PI, DistributionField, PhaseGrid, Potential
+from .grid import TWO_PI, DistributionField, PhaseGrid, Potential, _adopt
 
 
 def _reduce_angle(theta):
@@ -69,14 +69,9 @@ class Density:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        if values.shape != (self.grid.n_theta,):
-            raise ValueError("density must have one value per theta node")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("density values must be finite")
-        if np.any(values < 0):
-            raise ValueError("density values must be nonnegative")
-        values.flags.writeable = False
+        values = _adopt(self.values, (self.grid.n_theta,), "density",
+                        "density must have one value per theta node",
+                        nonnegative=True)
         object.__setattr__(self, "values", values)
 
 

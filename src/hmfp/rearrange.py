@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DistributionField, PhaseGrid, Potential
+from .grid import DistributionField, PhaseGrid, Potential, _adopt
 from .interaction import solve_potential
 from .steady import SteadyStateResult, _bisect, _damped_fixed_point
 
@@ -45,16 +45,16 @@ class MonotoneProfile:
     values: np.ndarray
 
     def __post_init__(self):
-        b = np.array(self.breakpoints, dtype=float)
-        v = np.array(self.values, dtype=float)
-        if b.ndim != 1 or b.shape != v.shape or b.size == 0:
-            raise ValueError("breakpoints and values must be matching 1-d vectors")
+        mismatch = "breakpoints and values must be matching 1-d vectors"
+        shape = np.shape(self.breakpoints)
+        if len(shape) != 1 or shape == (0,):
+            raise ValueError(mismatch)
+        b = _adopt(self.breakpoints, shape, "breakpoint", mismatch)
+        v = _adopt(self.values, shape, "profile", mismatch)
         if b.size > 1 and not np.all(np.diff(b) > 0):
             raise ValueError("breakpoints must be strictly increasing")
         if v.size > 1 and np.any(np.diff(v) > 0):
             raise ValueError("profile values must be nonincreasing")
-        b.flags.writeable = False
-        v.flags.writeable = False
         object.__setattr__(self, "breakpoints", b)
         object.__setattr__(self, "values", v)
 
@@ -95,8 +95,6 @@ def distribution_function(f: DistributionField, levels) -> MonotoneProfile:
     levels = np.asarray(levels, dtype=float)
     if np.any(levels < 0.0):
         raise ValueError("levels must be nonnegative")
-    if levels.size > 1 and not np.all(np.diff(levels) > 0):
-        raise ValueError("levels must be strictly increasing")
     flat = np.sort(f.values.ravel())
     counts = flat.size - np.searchsorted(flat, levels, side="right")
     return MonotoneProfile(levels, counts * f.grid.cell_area)
@@ -141,12 +139,10 @@ def inverse_sublevel_measure(phi: Potential, s):
     machine precision.
     """
     s = np.asarray(s, dtype=float)
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
     base = s * s / (32.0 * np.pi ** 2)
     out = _bisect(lambda e: sublevel_measure_a(phi, e) < s,
                   base + float(phi.values.min()), base + float(phi.values.max()))
-    return float(out[0]) if scalar else out
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,17 @@ def auxiliary_energy_one(phi: Potential, spec: CasimirSpec, lam: float) -> float
 # ---------------------------------------------------------------------------
 
 
+def _check_fixed_point_settings(damping, tol, max_iter):
+    """The one rule for damped fixed-point settings, shared by the library
+    and the config: damping in (0, 1], tol >= 0 (NaN fails) and max_iter >= 1."""
+    if not 0.0 < damping <= 1.0:
+        raise ValueError("damping must lie in (0, 1]")
+    if not tol >= 0.0:
+        raise ValueError("tol must be nonnegative")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+
+
 def _damped_fixed_point(phi0, update, damping, tol, max_iter, what, hint=""):
     """Damped fixed-point iteration phi <- (1 - damping) phi + damping phi_F.
 
@@ -330,10 +341,7 @@ def _damped_fixed_point(phi0, update, damping, tol, max_iter, what, hint=""):
     payload, iterations, damping * defect); past max_iter steps it raises
     ConvergenceError naming `what`, followed by `hint`.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    _check_fixed_point_settings(damping, tol, max_iter)
     g = phi0.grid
     phi = phi0
     for iterations in range(1, max_iter + 1):
@@ -369,7 +377,7 @@ def self_consistent_solve(
         damping: update weight in (0, 1]; phi_{k+1} = (1-damping) phi_k +
             damping phi_{F^{phi_k}}.
         tol: stop when the self-consistency defect sup|phi_{F^phi} - phi|
-            drops to tol (the applied increment is damping times that).
+            drops to tol >= 0 (the applied increment is damping times that).
         max_iter: iteration cap (at least 1), raising ConvergenceError past it.
 
     Returns:
@@ -477,7 +485,6 @@ def ode_profile_solve(
     idx = (anchor + np.arange(n)) % n
     values[idx] = psi[:n]
     deriv[idx] = dpsi[:n]
-    values -= values.mean()
     return OdeProfileResult(potential=Potential(grid, values, deriv), defect=defect)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from hmfp.casimir import entropy_spec, parse_casimir, power_spec
+from hmfp.casimir import POWER_MIN_EXPONENT, entropy_spec, parse_casimir, power_spec
 
 
 def test_entropy_generator_values():
@@ -69,6 +69,13 @@ def test_parse_casimir_forms():
     assert parse_casimir("power:1.5").p == 1.5
     for bad in ("power:1", "power:0.5", "power:", "boltzmann", "power:x"):
         with pytest.raises(ValueError):
+            parse_casimir(bad)
+
+
+def test_power_exponent_must_be_finite_and_keep_the_coefficients_finite():
+    assert parse_casimir("power:%r" % POWER_MIN_EXPONENT).p == POWER_MIN_EXPONENT
+    for bad in ("power:inf", "power:nan", "power:1.001", "power:1.0059"):
+        with pytest.raises(ValueError, match="power exponent must be finite"):
             parse_casimir(bad)
 
 

@@ -129,6 +129,14 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_undecodable_config_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["steady", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "cannot read config" in err
+
+
 def test_nonconvergence_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     cfg = write_cfg(tmp_path,
@@ -143,6 +151,13 @@ def test_nonconvergence_exits_two(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("case", [
     {"grid.n_theta": "4"},
     {"grid.v_max": "0"},
+    {"grid.v_max": "inf"},
+    # 2 v_max overflows, and with it d_v
+    {"grid.v_max": "1e308"},
+    {"casimir": "power:inf"},
+    # the closed-form coefficients overflow below p = 1 + 1/169
+    {"casimir": "power:1.001"},
+    {"perturbation.seed": "-1"},
     {"solver.damping": "0"},
     {"solver.max_iter": "0"},
     {"solver.tol": "-1"},

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hmfp.functionals import DiagnosticsRecord, mass, write_diagnostics_csv
+from hmfp.interaction import Density
 from hmfp.grid import (
     DistributionField,
     Potential,
+    _adopt,
     field_from_function,
     load_snapshot,
     make_grid,
@@ -45,6 +47,10 @@ def test_grid_validation():
         make_grid(32, 32, 0.0)
     with pytest.raises(ValueError):
         make_grid(32, 32, -1.0)
+    # v_max and d_v = 2 v_max / n_v must be finite
+    for v_max in (math.inf, 1e308):
+        with pytest.raises(ValueError, match="v_max"):
+            make_grid(32, 32, v_max)
 
 
 def test_grid_equality_and_hash():
@@ -207,3 +213,115 @@ def test_potential_validation():
     vals[0] = np.inf
     with pytest.raises(ValueError):
         Potential(g, vals, np.zeros(16))
+
+
+# The checks each value type ran on its own before they shared one helper,
+# kept verbatim as the reference for the property below.
+def reference_field(grid, values):
+    values = np.array(values, dtype=float, order="C")
+    if values.shape != (grid.n_theta, grid.n_v):
+        raise ValueError(
+            f"values shape {values.shape} does not match grid "
+            f"({grid.n_theta}, {grid.n_v})"
+        )
+    if not np.all(np.isfinite(values)):
+        raise ValueError("field values must be finite")
+    if np.any(values < 0):
+        raise ValueError("field values must be nonnegative")
+    return values
+
+
+def reference_density(grid, values):
+    values = np.array(values, dtype=float)
+    if values.shape != (grid.n_theta,):
+        raise ValueError("density must have one value per theta node")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("density values must be finite")
+    if np.any(values < 0):
+        raise ValueError("density values must be nonnegative")
+    return values
+
+
+def reference_potential(grid, values, derivative):
+    n = grid.n_theta
+    values = np.asarray(values, dtype=float)
+    derivative = np.array(derivative, dtype=float)
+    if values.shape != (n,) or derivative.shape != (n,):
+        raise ValueError("potential arrays must have shape (n_theta,)")
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(derivative))):
+        raise ValueError("potential values must be finite")
+    return values - values.mean(), derivative
+
+
+def outcome(build, *args):
+    """The arrays a constructor keeps, as bytes, or its ValueError text."""
+    try:
+        kept = build(*args)
+    except ValueError as exc:
+        return str(exc)
+    return [np.asarray(a).tobytes() for a in kept]
+
+
+# NaN, both infinities, negatives, both zeros, subnormals and the extremes;
+# magnitudes stay below 1e300 elsewhere so a potential's mean cannot
+# overflow
+EDGE_VALUES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+               2.2e-308, -2.2e-308, 1.0, -1.0, 1e300, -1e300]
+ELEMENTS = st.one_of(st.sampled_from(EDGE_VALUES),
+                     st.floats(-1e300, 1e300, allow_subnormal=True))
+
+
+@st.composite
+def edged_arrays(draw, shapes):
+    """A nonnegative array with up to three entries replaced by ELEMENTS,
+    so that -0.0 or a single bad entry often decides the outcome."""
+    shape = draw(shapes)
+    out = draw(arrays(float, shape,
+                      elements=st.floats(0.0, 1e300, allow_subnormal=True)))
+    flat = out.reshape(-1)
+    for _ in range(draw(st.integers(0, 3))):
+        flat[draw(st.integers(0, flat.size - 1))] = draw(ELEMENTS)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_values=edged_arrays(st.sampled_from([(8, 8), (8, 9), (64,)])),
+       line=edged_arrays(st.sampled_from([(8,), (9,), (8, 1)])),
+       derivative=edged_arrays(st.sampled_from([(8,), (7,)])))
+def test_value_types_accept_and_reject_as_their_own_checks_did(
+        field_values, line, derivative):
+    g = make_grid(8, 8, 6.0)
+    assert outcome(lambda v: [DistributionField(g, v).values], field_values) \
+        == outcome(lambda v: [reference_field(g, v)], field_values)
+    assert outcome(lambda v: [Density(g, v).values], line) \
+        == outcome(lambda v: [reference_density(g, v)], line)
+    # each array alone, the other one valid: with both bad, the parent
+    # reported any shape fault first, while each array now reports its own
+    # faults in turn
+    for values, deriv in ((line, np.zeros(8)), (np.zeros(8), derivative)):
+        new = outcome(lambda v, d: [Potential(g, v, d).values,
+                                    Potential(g, v, d).derivative],
+                      values, deriv)
+        assert new == outcome(lambda v, d: reference_potential(g, v, d),
+                              values, deriv)
+
+
+@given(edged_arrays(st.integers(1, 40)), st.booleans())
+def test_adopt_returns_a_frozen_contiguous_copy_or_names_the_fault(values,
+                                                                 nonnegative):
+    strided = np.repeat(values, 2)[::2]
+    try:
+        out = _adopt(strided, values.shape, "x", "shape {shape}", nonnegative)
+    except ValueError as exc:
+        finite = bool(np.all(np.isfinite(values)))
+        assert str(exc) == ("x values must be nonnegative" if finite
+                            else "x values must be finite")
+        assert not finite or (nonnegative and np.any(values < 0))
+        return
+    assert np.all(np.isfinite(values))
+    assert not (nonnegative and np.any(values < 0))
+    assert out.tobytes() == values.tobytes()
+    assert out.flags.c_contiguous and not out.flags.writeable
+    assert not np.shares_memory(out, strided)
+    with pytest.raises(ValueError, match=r"shape \(3, 1\)"):
+        _adopt(np.zeros((3, 1)), values.shape, "x", "shape {shape}")

@@ -70,6 +70,17 @@ def test_monotone_profile_validation():
         MonotoneProfile(np.array([0.0, 1.0]), np.array([0.5, 1.0]))
 
 
+@pytest.mark.parametrize("breakpoints, values, message", [
+    ([0.0, 1.0], [np.nan, np.nan], "profile values must be finite"),
+    ([0.0, np.inf], [1.0, 0.5], "breakpoint values must be finite"),
+    ([-np.inf, 0.0], [1.0, 0.5], "breakpoint values must be finite"),
+])
+def test_monotone_profile_rejects_non_finite_entries(breakpoints, values,
+                                                     message):
+    with pytest.raises(ValueError, match=message):
+        MonotoneProfile(breakpoints, values)
+
+
 def test_distribution_function_counts_cells():
     g = make_grid(8, 8, 1.0)
     f = two_level_field(g, hi_cells=5, lo_cells=11)

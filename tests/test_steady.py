@@ -1,13 +1,14 @@
 """Variational steady states: multiplier solves, fixed points, profiles."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmfp.casimir import entropy_spec, power_spec
+from hmfp.casimir import POWER_MIN_EXPONENT, entropy_spec, power_spec
 from hmfp.errors import ConvergenceError, SolverAbort
 from hmfp.experiment import seed_potential
 from hmfp.functionals import casimir_integral, free_energy_J, hamiltonian, mass
@@ -363,6 +364,32 @@ def test_nonconvergence_raises():
 def test_zero_iteration_cap_is_rejected(solve):
     with pytest.raises(ValueError, match="max_iter"):
         solve(make_grid(16, 16, 6.0))
+
+
+# a NaN or negative tol can never be met: it must fail up front, not after
+# max_iter steps with a ConvergenceError
+@pytest.mark.parametrize("tol", [math.nan, -1.0], ids=["nan", "negative"])
+@pytest.mark.parametrize("solve", [
+    lambda g, tol: self_consistent_solve(
+        entropy_spec(), ConstraintSet(m1=1.0), seed_potential(g, 0.0),
+        tol=tol, max_iter=5),
+    lambda g, tol: equimeasurable_minimize(
+        smooth_random_field(g, seed=3), tol=tol, max_iter=5),
+], ids=["self_consistent_solve", "equimeasurable_minimize"])
+def test_nan_or_negative_tol_is_rejected(solve, tol):
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        solve(make_grid(16, 16, 6.0), tol)
+
+
+def test_two_constraint_moments_at_the_smallest_power_exponent():
+    # the closed forms divide by 2 math.gamma(k + 5/2), k = 1/(p - 1),
+    # which here sits just below the overflow
+    g = make_grid(16, 16, 6.0)
+    spec = power_spec(POWER_MIN_EXPONENT)
+    mom = profile_moments(wavy_potential(g), spec, Multipliers(lam=1.0, mu=-1.0))
+    assert all(math.isfinite(x) and x > 0.0 for x in astuple(mom))
+    with pytest.raises(ValueError, match="power exponent"):
+        power_spec(np.nextafter(POWER_MIN_EXPONENT, 1.0))
 
 
 def test_monotone_chain_two_constraint():
