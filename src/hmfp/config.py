@@ -15,7 +15,7 @@ from .casimir import POWER, parse_casimir
 from .errors import ConfigError
 from .grid import PhaseGrid
 from .solver import SolverConfig
-from .steady import ConstraintSet, _check_fixed_point_settings
+from .steady import ConstraintSet, _check_constraint, _check_fixed_point_settings
 
 _PERTURBATION_KINDS = ("density_bump", "velocity_shift", "random_noise")
 _PHI_SOURCES = ("self", "zero")
@@ -97,8 +97,11 @@ class ExperimentConfig:
             # the grid and solver checks name the offending attribute first
             raise ConfigError("grid.%s" % exc) from exc
         for key, value in (("m1", self.m1), ("mj", self.mj)):
-            if value is not None and not 0.0 < value < math.inf:
-                raise ConfigError("constraints.%s must be finite and positive" % key)
+            try:
+                if value is not None:
+                    _check_constraint(key, value)
+            except ValueError as exc:
+                raise ConfigError("constraints.%s" % exc) from exc
         if self.mj is not None and self.casimir_spec().family != POWER:
             raise ConfigError("constraints.mj needs a power casimir")
         if self.kind not in _PERTURBATION_KINDS:

@@ -52,9 +52,9 @@ def potential_energy(f: DistributionField, potential: Potential | None = None) -
     return 0.5 * float(potential.derivative @ potential.derivative) * g.d_theta
 
 
-def hamiltonian(f: DistributionField, potential: Potential | None = None) -> float:
+def hamiltonian(f: DistributionField) -> float:
     """Kinetic energy minus field energy (the attractive sign convention)."""
-    return kinetic_energy(f) - potential_energy(f, potential)
+    return kinetic_energy(f) - potential_energy(f)
 
 
 def casimir_integral(f: DistributionField, spec: CasimirSpec) -> float:

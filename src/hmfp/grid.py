@@ -39,8 +39,9 @@ class PhaseGrid:
             raise ValueError(f"n_theta must be at least 8, got {self.n_theta}")
         if self.n_v < 8:
             raise ValueError(f"n_v must be at least 8, got {self.n_v}")
-        if not (self.v_max > 0 and 2.0 * float(self.v_max) < np.inf):  # d_v finite too
-            raise ValueError(f"v_max must be positive with 2 * v_max finite, got {self.v_max}")
+        # v_max**2 bounds the microscopic energy; finite, it keeps d_v finite too
+        if not (self.v_max > 0 and float(self.v_max) * float(self.v_max) < np.inf):
+            raise ValueError(f"v_max must be positive with v_max**2 finite, got {self.v_max}")
         object.__setattr__(self, "n_theta", int(self.n_theta))
         object.__setattr__(self, "n_v", int(self.n_v))
         object.__setattr__(self, "v_max", float(self.v_max))

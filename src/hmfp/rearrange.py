@@ -7,7 +7,9 @@ The central object is the sublevel measure of e(theta, v) = v**2/2 + phi,
     a(e) = sum_i 2 sqrt(2 (e - phi_i)_+) d_theta,
 
 which is exact in v (each theta section of the sublevel set is an interval)
-and discrete only in theta.  Its inverse is computed by the fixed-step
+and discrete only in theta.  It is the order k = 0 case of the one velocity
+integral behind the steady profiles, steady._section_sum, whose order k = 1
+case is its antiderivative in e.  Its inverse is computed by the fixed-step
 bisection of the steady-state multiplier solves, on the two-sided bound
 a_inv(s) in [s**2/(32 pi**2) + min phi, s**2/(32 pi**2) + max phi], which
 brackets the root for every potential.
@@ -25,7 +27,7 @@ import numpy as np
 
 from .grid import DistributionField, PhaseGrid, Potential, _adopt
 from .interaction import solve_potential
-from .steady import SteadyStateResult, _bisect, _damped_fixed_point
+from .steady import SteadyStateResult, _bisect, _damped_fixed_point, _section_sum
 
 # ---------------------------------------------------------------------------
 # Monotone profiles
@@ -124,11 +126,9 @@ def pseudo_inverse(mu: MonotoneProfile) -> MonotoneProfile:
 
 
 def sublevel_measure_a(phi: Potential, e):
-    """Phase-space measure of {v**2/2 + phi < e}, exact in v."""
-    e = np.asarray(e, dtype=float)
-    gap = np.maximum(e[..., np.newaxis] - phi.values, 0.0)
-    out = (2.0 * np.sqrt(2.0 * gap)).sum(axis=-1) * phi.grid.d_theta
-    return out if out.ndim else float(out)
+    """Phase-space measure of {v**2/2 + phi < e}, exact in v: the velocity
+    integral of order k = 0, whose coefficient 2 sqrt(2) B(0) is 2 sqrt(2)."""
+    return _section_sum(phi, e, 0.0, 1.0)
 
 
 def inverse_sublevel_measure(phi: Potential, s):
@@ -148,10 +148,6 @@ def inverse_sublevel_measure(phi: Potential, s):
 # ---------------------------------------------------------------------------
 # Rearrangement
 # ---------------------------------------------------------------------------
-
-
-def _microscopic_energy(grid: PhaseGrid, phi: Potential) -> np.ndarray:
-    return 0.5 * grid.v[np.newaxis, :] ** 2 + phi.values[:, np.newaxis]
 
 
 def rearrange_with_energy(
@@ -179,7 +175,7 @@ def compose_profile(
     The sublevel measure is evaluated in chunks so the (cells x n_theta)
     broadcast never materializes for large grids.
     """
-    e = _microscopic_energy(grid, phi).ravel()
+    e = (0.5 * grid.v[np.newaxis, :] ** 2 + phi.values[:, np.newaxis]).ravel()
     out = np.empty_like(e)
     chunk = 8192
     for start in range(0, e.size, chunk):
@@ -285,48 +281,40 @@ def _band_energy_integral(phi: Potential, e) -> np.ndarray:
     with the convex functional B.
     """
     e = np.asarray(e, dtype=float)
-    gap = np.maximum(e[..., np.newaxis] - phi.values, 0.0)
-    v_star = np.sqrt(2.0 * gap)
+    v_star = np.sqrt(2.0 * np.maximum(e[..., np.newaxis] - phi.values, 0.0))
     rows = v_star ** 3 / 3.0 + 2.0 * phi.values * v_star
     return rows.sum(axis=-1) * phi.grid.d_theta
 
 
-def _measure_antiderivative(phi: Potential, e) -> np.ndarray:
-    """A(e) with A' = a_phi: sum_i (4 sqrt(2)/3)(e - phi_i)_+**(3/2) d_theta."""
-    e = np.asarray(e, dtype=float)
-    gap = np.maximum(e[..., np.newaxis] - phi.values, 0.0)
-    return (4.0 * np.sqrt(2.0) / 3.0 * gap ** 1.5).sum(axis=-1) * phi.grid.d_theta
+def _level_bands(fsharp: MonotoneProfile, phi: Potential) -> tuple[np.ndarray, np.ndarray]:
+    """Measures x and energies e = a_phi^{-1}(x) of the band edges on which
+    f# is constant: its breakpoints, closed by an energy above every cell of
+    the velocity box (and its measure) when the last breakpoint lies below
+    that measure.  Band i carries the value fsharp.values[i]."""
+    x = fsharp.breakpoints
+    e = inverse_sublevel_measure(phi, x)
+    top = float(phi.values.max()) + 0.5 * phi.grid.v_max ** 2 + 1.0
+    a_top = sublevel_measure_a(phi, top)
+    if x[-1] < a_top:
+        return np.append(x, a_top), np.append(e, top)
+    return x, e
 
 
 def rearranged_energy_integral(fsharp: MonotoneProfile, phi: Potential) -> float:
     """Left side of the profile pairing identity:
     integral of (v**2/2 + phi) f#(a_phi(v**2/2 + phi)) over phase space,
     by exact v-band integrals between consecutive level boundaries."""
-    edges = inverse_sublevel_measure(phi, fsharp.breakpoints)
-    t_edges = _band_energy_integral(phi, edges)
-    top = float(phi.values.max()) + 0.5 * phi.grid.v_max ** 2 + 1.0
-    a_top = sublevel_measure_a(phi, top)
-    if fsharp.breakpoints[-1] < a_top:
-        t_edges = np.append(t_edges, _band_energy_integral(phi, np.array([top]))[0])
-    else:
-        t_edges = np.append(t_edges, t_edges[-1])
-    return float(np.sum(fsharp.values * np.diff(t_edges)))
+    x, e = _level_bands(fsharp, phi)
+    return float(np.sum(fsharp.values[: x.size - 1] * np.diff(_band_energy_integral(phi, e))))
 
 
 def profile_pairing_integral(fsharp: MonotoneProfile, phi: Potential) -> float:
     """Right side of the profile pairing identity:
     integral over s of a_phi^{-1}(s) f#(s), integrating a_inv between
-    breakpoints by parts with the exact antiderivative of a_phi."""
-    x = fsharp.breakpoints
-    e = inverse_sublevel_measure(phi, x)
-    top = float(phi.values.max()) + 0.5 * phi.grid.v_max ** 2 + 1.0
-    a_top = sublevel_measure_a(phi, top)
-    if x[-1] < a_top:
-        x = np.append(x, a_top)
-        e = np.append(e, top)
-    segments = (x[1:] * e[1:] - x[:-1] * e[:-1]) - np.diff(
-        _measure_antiderivative(phi, e)
-    )
+    breakpoints by parts with the exact antiderivative of a_phi, the
+    velocity integral of order k = 1."""
+    x, e = _level_bands(fsharp, phi)
+    segments = (x[1:] * e[1:] - x[:-1] * e[:-1]) - np.diff(_section_sum(phi, e, 1.0, 1.0))
     return float(np.sum(fsharp.values[: segments.size] * segments))
 
 

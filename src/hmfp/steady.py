@@ -10,8 +10,12 @@ cousin exp(lambda - v**2/2 - phi) for the entropy generator.  Because every
 builtin generator has monomial or exponential structure, all velocity
 integrals of the profile reduce to closed forms in a = (lambda - phi)_+, so
 the multiplier equations are solved on exact one-dimensional maps and only
-the theta dependence is discrete.  The expensive grid sampling happens once,
-when a profile is materialized as a DistributionField.
+the theta dependence is discrete.  One section sum, _section_sum, owns the
+closed form: the integral over v of (a - v**2/2)_+**k is 2 sqrt(2) B(k)
+a**(k + 1/2).  The mass and Casimir maps use it at orders k = 1/(p - 1) and
+k + 1, and the rearrangement's sublevel measure and its antiderivative at
+orders 0 and 1.  The expensive grid sampling happens once, when a profile
+is materialized as a DistributionField.
 
 The entropy multiplier has a closed form.  The power multipliers come from
 one fixed-step bisection in lambda: the maps are strictly monotone but
@@ -61,10 +65,16 @@ class ConstraintSet:
     mj: float | None = None
 
     def __post_init__(self):
-        if not self.m1 > 0.0:
-            raise ValueError(f"m1 must be positive, got {self.m1}")
-        if self.mj is not None and not self.mj > 0.0:
-            raise ValueError(f"mj must be positive, got {self.mj}")
+        _check_constraint("m1", self.m1)
+        if self.mj is not None:
+            _check_constraint("mj", self.mj)
+
+
+def _check_constraint(name, value):
+    """The one rule for a constraint value, shared by the library and the
+    config: finite and positive (NaN fails)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -118,6 +128,25 @@ def _power_coefficient(k: float, ps: float) -> float:
     return 2.0 * math.sqrt(2.0) * _beta_half(k) * ps ** (-k)
 
 
+def _section_sum(phi: Potential, x, k: float, ps: float):
+    """S(x) = 2 sqrt(2) B(k) ps**(-k) sum_i (x - phi_i)_+**(k + 1/2) d_theta.
+
+    Each term is the exact velocity integral of ((x - v**2/2 - phi_i)_+ /
+    ps)**k over the theta section i.  With k = 1/(p - 1) and ps = p |mu| it
+    is the mass map of a power profile at lambda = x, at k + 1 its Casimir
+    map; with ps = 1, k = 0 gives the sublevel measure of the microscopic
+    energy at x and k = 1 its antiderivative in x.  x is a scalar or an
+    array, broadcast against a trailing theta axis.  As in float arithmetic,
+    an overflowing sum gives inf, and times an underflowed coefficient NaN.
+    """
+    x = np.asarray(x, dtype=float)
+    gap = np.maximum(x[..., np.newaxis] - phi.values, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = (gap ** (k + 0.5)).sum(axis=-1)
+        out = _power_coefficient(k, ps) * total * phi.grid.d_theta
+    return out if out.ndim else float(out)
+
+
 def profile_moments(
     phi: Potential, spec: CasimirSpec, multipliers: Multipliers
 ) -> ProfileMoments:
@@ -126,48 +155,26 @@ def profile_moments(
     The velocity integrals run over the whole line, not the grid's velocity
     window.
     """
-    g = phi.grid
     lam = multipliers.lam
-    d_theta = g.d_theta
+    d_theta = phi.grid.d_theta
     if spec.family == ENTROPY:
         if multipliers.mu is not None:
             raise ValueError("the entropy family carries no mu multiplier")
         rows = SQRT_2PI * np.exp(lam - phi.values)
-        mass_rows = rows
         casimir_rows = rows * (lam - phi.values - 0.5)
-        kinetic_rows = rows
-        inner_rows = casimir_rows + mass_rows
-    else:
-        p = spec.p
-        k = 1.0 / (p - 1.0)
-        s = 1.0 if multipliers.mu is None else -multipliers.mu
-        a = np.maximum(lam - phi.values, 0.0)
-        b_k = _beta_half(k)
-        b_k1 = _beta_half(k + 1.0)
-        scale = (p * s) ** (-k)
-        root2 = math.sqrt(2.0)
-        with np.errstate(over="ignore"):
-            a_high = a ** (k + 1.5)
-            mass_rows = _power_coefficient(k, p * s) * a ** (k + 0.5)
-            casimir_rows = _power_coefficient(k + 1.0, p * s) * a_high
-            kinetic_rows = 4.0 * root2 * (b_k - b_k1) * scale * a_high
-        inner_rows = p * casimir_rows
-    return ProfileMoments(
-        mass=float(mass_rows.sum()) * d_theta,
-        casimir=float(casimir_rows.sum()) * d_theta,
-        kinetic_moment=float(kinetic_rows.sum()) * d_theta,
-        inner_product=float(inner_rows.sum()) * d_theta,
-    )
-
-
-def _power_map(phi: Potential, spec: CasimirSpec, lam: float, s: float, shift: float) -> float:
-    """Exact-in-v map of a power profile at multipliers (lam, -s): the mass
-    map K at shift 0, the Casimir map G at shift 1."""
-    k = 1.0 / (spec.p - 1.0)
-    a = np.maximum(lam - phi.values, 0.0)
+        mass = float(rows.sum()) * d_theta
+        return ProfileMoments(mass, float(casimir_rows.sum()) * d_theta, mass,
+                              float((casimir_rows + rows).sum()) * d_theta)
+    p = spec.p
+    k = 1.0 / (p - 1.0)
+    ps = p * (1.0 if multipliers.mu is None else -multipliers.mu)
+    casimir = _section_sum(phi, lam, k + 1.0, ps)
+    # the kinetic moment keeps its own closed form, so the multiplier
+    # identity compares it with the section sums rather than restating them
     with np.errstate(over="ignore"):
-        total = float((a ** (k + (0.5 + shift))).sum())
-        return _power_coefficient(k + shift, spec.p * s) * total * phi.grid.d_theta
+        high = float((np.maximum(lam - phi.values, 0.0) ** (k + 1.5)).sum()) * d_theta
+    kinetic = 4.0 * math.sqrt(2.0) * (_beta_half(k) - _beta_half(k + 1.0)) * ps ** (-k) * high
+    return ProfileMoments(_section_sum(phi, lam, k, ps), casimir, kinetic, p * casimir)
 
 
 def build_F_phi(
@@ -225,7 +232,7 @@ def solve_lambda_one(phi: Potential, spec: CasimirSpec, m1: float) -> float:
         return min_phi + math.log(m1 / weight)
     k = 1.0 / (spec.p - 1.0)
     offset = (m1 / (TWO_PI * _power_coefficient(k, spec.p))) ** (1.0 / (k + 0.5))
-    return float(_bisect(lambda lam: _power_map(phi, spec, lam, 1.0, 0.0) < m1,
+    return float(_bisect(lambda lam: _section_sum(phi, lam, k, spec.p) < m1,
                          min_phi + offset, float(phi.values.max()) + offset))
 
 
@@ -249,12 +256,12 @@ def solve_multipliers_two(
     min_phi = float(phi.values.min())
 
     def s_of(lam):
-        return (_power_map(phi, spec, lam, 1.0, 0.0) / constraints.m1) ** (1.0 / k)
+        return (_section_sum(phi, lam, k, spec.p) / constraints.m1) ** (1.0 / k)
 
     def casimir_above(lam):
         s = s_of(lam)
         # an empty profile (s = 0) has an infinite Casimir value
-        return s == 0.0 or _power_map(phi, spec, lam, s, 1.0) > constraints.mj
+        return s == 0.0 or _section_sum(phi, lam, k + 1.0, spec.p * s) > constraints.mj
 
     # the root lies in min phi + [offset / 2, offset]
     offset = 1.0
@@ -271,7 +278,7 @@ def solve_multipliers_two(
     s = s_of(lam)
     # a root within a few ulps of min phi leaves the Casimir value jumping
     # past mj between adjacent floats
-    if not (s > 0.0 and abs(_power_map(phi, spec, lam, s, 1.0) - constraints.mj)
+    if not (s > 0.0 and abs(_section_sum(phi, lam, k + 1.0, spec.p * s) - constraints.mj)
             <= 1e-9 * constraints.mj):
         raise ConvergenceError(
             f"solve_multipliers_two: the Casimir value {constraints.mj:g} is out "

@@ -154,6 +154,8 @@ def test_nonconvergence_exits_two(tmp_path, monkeypatch, capsys):
     {"grid.v_max": "inf"},
     # 2 v_max overflows, and with it d_v
     {"grid.v_max": "1e308"},
+    # v_max**2 overflows, and with it the microscopic energy
+    {"grid.v_max": "1e200"},
     {"casimir": "power:inf"},
     # the closed-form coefficients overflow below p = 1 + 1/169
     {"casimir": "power:1.001"},

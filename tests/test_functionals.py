@@ -52,11 +52,9 @@ def test_hamiltonian_decomposition():
     f = smooth_random_field(g, seed=9)
     phi = solve_potential(f)
     assert potential_energy(f, phi) > 0.0
-    assert hamiltonian(f, phi) == pytest.approx(
+    assert hamiltonian(f) == pytest.approx(
         kinetic_energy(f) - potential_energy(f, phi), rel=1e-14
     )
-    # passing the precomputed potential changes nothing
-    assert hamiltonian(f) == pytest.approx(hamiltonian(f, phi), rel=1e-14)
 
 
 def test_potential_energy_is_field_norm():

@@ -47,8 +47,8 @@ def test_grid_validation():
         make_grid(32, 32, 0.0)
     with pytest.raises(ValueError):
         make_grid(32, 32, -1.0)
-    # v_max and d_v = 2 v_max / n_v must be finite
-    for v_max in (math.inf, 1e308):
+    # v_max**2, and with it d_v = 2 v_max / n_v, must be finite
+    for v_max in (math.inf, 1e308, 1e200):
         with pytest.raises(ValueError, match="v_max"):
             make_grid(32, 32, v_max)
 

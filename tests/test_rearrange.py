@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmfp.casimir import entropy_spec
 from hmfp.functionals import casimir_integral, hamiltonian, mass
@@ -26,6 +28,7 @@ from hmfp.rearrange import (
     rearranged_energy_integral,
     sublevel_measure_a,
 )
+from hmfp.steady import _section_sum
 
 from conftest import maxwellian, smooth_random_field
 
@@ -118,6 +121,39 @@ def test_flat_sublevel_measure_closed_form():
         2.0 * TWO_PI * np.sqrt(2.0 * e), rel=1e-14
     )
     assert sublevel_measure_a(phi, -1.0) == 0.0
+
+
+def _measure_and_antiderivative(phi, e):
+    """a(e) and A(e) with A' = a, each section integral written out."""
+    gap = np.maximum(np.asarray(e, dtype=float)[..., np.newaxis] - phi.values, 0.0)
+    measure = (2.0 * np.sqrt(2.0 * gap)).sum(axis=-1) * phi.grid.d_theta
+    antiderivative = (4.0 * np.sqrt(2.0) / 3.0 * gap ** 1.5).sum(axis=-1) * phi.grid.d_theta
+    return measure, antiderivative
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(8, 300), seed=st.integers(0, 2 ** 32 - 1),
+       height=st.floats(0.0, 5.0), n_e=st.integers(1, 20))
+def test_sublevel_measure_and_antiderivative_match_the_section_integrals(
+        n, seed, height, n_e):
+    rng = np.random.default_rng(seed)
+    phi = Potential(make_grid(n, 8, 6.0), height * rng.uniform(-1.0, 1.0, n), np.zeros(n))
+    low, high = float(phi.values.min()), float(phi.values.max())
+    e = rng.uniform(low - 1.0, high + 10.0, n_e)
+    for energy in (e, float(e[0])):
+        measure, antiderivative = _measure_and_antiderivative(phi, energy)
+        got_measure = sublevel_measure_a(phi, energy)
+        got_antiderivative = _section_sum(phi, energy, 1.0, 1.0)
+        assert np.shape(got_measure) == np.shape(energy)
+        assert np.shape(got_antiderivative) == np.shape(energy)
+        np.testing.assert_allclose(got_measure, measure, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(got_antiderivative, antiderivative, rtol=1e-13, atol=0.0)
+    # no section is open below min phi
+    below = low - np.array([0.0, 1e-300, 0.5, 1e3])
+    assert np.all(sublevel_measure_a(phi, below) == 0.0)
+    assert np.all(_section_sum(phi, below, 1.0, 1.0) == 0.0)
+    assert sublevel_measure_a(phi, low) == 0.0
+    assert _section_sum(phi, low, 1.0, 1.0) == 0.0
 
 
 def test_flat_inverse_measure_closed_form():

@@ -5,7 +5,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hmfp.casimir import POWER_MIN_EXPONENT, entropy_spec, power_spec
@@ -24,7 +24,8 @@ from hmfp.steady import (
     ode_force,
     ode_force_primitive,
     ode_profile_solve,
-    _power_map,
+    _power_coefficient,
+    _section_sum,
     profile_moments,
     renormalize_to_constraints,
     self_consistent_solve,
@@ -127,6 +128,7 @@ def _bisect_increasing(fn, target, lo, hi, grow_lo, grow_hi, rel_tol):
 
 
 def _nested_lambda(phi, spec, m1, s, rel_tol):
+    k = 1.0 / (spec.p - 1.0)
     min_phi = float(phi.values.min())
     step = [1.0]
 
@@ -136,17 +138,19 @@ def _nested_lambda(phi, spec, m1, s, rel_tol):
         return lo - d
 
     return _bisect_increasing(
-        lambda lam: _power_map(phi, spec, lam, s, 0.0), m1,
+        lambda lam: _section_sum(phi, lam, k, spec.p * s), m1,
         min_phi + 1e-12, min_phi + 1.0, grow_lo,
         lambda hi: min_phi + 2.0 * (hi - min_phi), rel_tol)
 
 
 def _nested_multipliers_two(phi, spec, m1, mj):
+    k = 1.0 / (spec.p - 1.0)
+
     def lambda_of_mu(mu):
         return _nested_lambda(phi, spec, m1, -mu, 1e-12)
 
     mu = _bisect_increasing(
-        lambda mu: _power_map(phi, spec, lambda_of_mu(mu), -mu, 1.0), mj,
+        lambda mu: _section_sum(phi, lambda_of_mu(mu), k + 1.0, spec.p * -mu), mj,
         -1.0, -1e-6, lambda lo: 2.0 * lo, lambda hi: 0.5 * hi, 1e-10)
     return Multipliers(lam=lambda_of_mu(mu), mu=mu)
 
@@ -154,8 +158,46 @@ def _nested_multipliers_two(phi, spec, m1, mj):
 def _casimir_on_mass_constraint(phi, spec, m1, lam):
     """G(lambda, s) at the |mu| = s that meets the mass constraint."""
     k = 1.0 / (spec.p - 1.0)
-    s = (_power_map(phi, spec, lam, 1.0, 0.0) / m1) ** (1.0 / k)
-    return _power_map(phi, spec, lam, s, 1.0)
+    s = (_section_sum(phi, lam, k, spec.p) / m1) ** (1.0 / k)
+    return _section_sum(phi, lam, k + 1.0, spec.p * s)
+
+
+def test_constraint_values_must_be_finite_and_positive():
+    for m1, mj in ((math.inf, None), (math.nan, None), (0.0, None), (-1.0, None),
+                   (1.0, math.inf), (1.0, math.nan), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            ConstraintSet(m1=m1, mj=mj)
+
+
+def _mass_or_casimir_map(phi, spec, lam, s, shift):
+    """The power mass map (shift 0) and Casimir map (shift 1), written out
+    with their own arithmetic as a bitwise reference for the section sum."""
+    k = 1.0 / (spec.p - 1.0)
+    a = np.maximum(lam - phi.values, 0.0)
+    with np.errstate(over="ignore"):
+        total = float((a ** (k + (0.5 + shift))).sum())
+        return _power_coefficient(k + shift, spec.p * s) * total * phi.grid.d_theta
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.floats(POWER_MIN_EXPONENT, 10.0), shift=st.sampled_from([0.0, 1.0]),
+       n=st.integers(8, 300), seed=st.integers(0, 2 ** 32 - 1),
+       height=st.floats(0.0, 5.0), t=st.floats(-1.0, 1.0), s=st.floats(1e-3, 1e3))
+def test_section_sum_matches_the_power_maps_bitwise(p, shift, n, seed, height, t, s):
+    values = height * np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    phi = Potential(make_grid(n, 8, 6.0), values, np.zeros(n))
+    # lambda from below min phi to above max phi
+    low, high = float(phi.values.min()), float(phi.values.max())
+    lam = low + t * (high - low + 1.0)
+    spec = power_spec(p)
+    k = 1.0 / (p - 1.0)
+    try:
+        want = _mass_or_casimir_map(phi, spec, lam, s, shift)
+    except OverflowError:
+        assume(False)
+    got = _section_sum(phi, lam, k + shift, p * s)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
