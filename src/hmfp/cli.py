@@ -8,10 +8,14 @@ isolated in its own directory, named by the hash of its config, the
 command and the input snapshot; HMFP_THREADS caps the worker
 pool, and the variants' result lines come in the listed order.  Exit
 codes: 0 success, 1 config or I/O trouble, 2 an iterative solve failed to
-converge, 3 the time integrator aborted.
+converge, 3 the time integrator aborted.  Once per process, main keeps
+freed heap memory in the process rather than returning it to the kernel
+on every free (glibc only; see _hold_freed_heap).
 """
 
 import argparse
+import ctypes
+import functools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -24,6 +28,32 @@ from .experiment import (input_digest, run_diag, run_evolve, run_rearrange,
 _EXIT_CONFIG = 1
 _EXIT_NONCONVERGENCE = 2
 _EXIT_ABORT = 3
+
+# glibc malloc thresholds, held fixed so the field-sized temporaries of
+# every step reuse heap pages instead of a fresh mmap each
+_MMAP_THRESHOLD = 64 << 20
+_TRIM_THRESHOLD = 128 << 20
+
+
+@functools.cache
+def _hold_freed_heap():
+    """Keep freed blocks below 64 MiB on this process's heap.
+
+    glibc serves each block above M_MMAP_THRESHOLD (128 KiB at start) with
+    its own mmap and raises the threshold only after a larger mapped block
+    is freed; it returns the heap top to the kernel above M_TRIM_THRESHOLD.
+    Left alone, a 512^2 evolve maps, faults in and unmaps its 2 MiB
+    temporaries on every step.  Where libc has no mallopt (macOS, Windows)
+    this does nothing, and musl's mallopt ignores both settings.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, _MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
+    mallopt(-1, _TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
 
 
 def _worker_count(n_jobs):
@@ -75,6 +105,7 @@ def _dispatch(command, cfg, input_path):
 
 
 def main(argv=None):
+    _hold_freed_heap()
     parser = argparse.ArgumentParser(
         prog="hmfp",
         description="Ground states, evolution, and stability experiments "

@@ -5,12 +5,13 @@ named by the hash of its config, command and input snapshot, and writes
 every artifact there: snapshots, reports, CSV time series.  Tables go
 through np.savetxt and reports through config.key_value_text, both with
 17 significant digits, so identical configs and inputs reproduce
-identical bytes.
+identical bytes.  Each artifact is written to a temporary file in the run
+directory that then replaces it, so two identical runs sharing the
+directory never leave a torn file.
 """
 
 import hashlib
 import os
-from pathlib import Path
 
 import numpy as np
 
@@ -19,7 +20,8 @@ from .errors import ConfigError
 from .functionals import (casimir_integral, diagnostics, free_energy_J,
                           hamiltonian, mass, orbital_distance,
                           write_diagnostics_csv)
-from .grid import (DistributionField, Potential, load_snapshot, save_snapshot)
+from .grid import (DistributionField, Potential, _atomic_write, load_snapshot,
+                   save_snapshot)
 from .interaction import solve_potential
 from .rearrange import (equimeasurability_defect, level_band_defect,
                         level_grid, rearrange_with_energy)
@@ -43,11 +45,16 @@ def input_digest(input_path):
     return digest.hexdigest()
 
 
+def _write_text(path, text):
+    with _atomic_write(path) as fh:
+        fh.write(text)
+
+
 def run_directory(cfg, command, input_path=None):
     """Create (if needed) and return the output directory of one run."""
     path = os.path.join(cfg.output_dir, cfg.run_key(command, input_digest(input_path)))
     os.makedirs(path, exist_ok=True)
-    Path(path, "config.txt").write_text(cfg.canonical_text(), encoding="utf-8")
+    _write_text(os.path.join(path, "config.txt"), cfg.canonical_text())
     return path
 
 
@@ -103,14 +110,14 @@ def run_steady(cfg):
     out = run_directory(cfg, "steady")
     f, mult = result.field, result.multipliers
     save_snapshot(f, 0.0, os.path.join(out, "state.snap"))
-    Path(out, "report.txt").write_text(key_value_text([
+    _write_text(os.path.join(out, "report.txt"), key_value_text([
         ("lambda", mult.lam), ("mu", mult.mu),
         ("residual", result.fixed_point_residual),
         ("iterations", result.iterations),
         ("constraint_m1", cfg.m1), ("constraint_mj", cfg.mj),
         ("mass", mass(f)), ("casimir", casimir_integral(f, spec)),
         ("hamiltonian", hamiltonian(f)), ("free_energy", free_energy_J(f, spec)),
-    ]), encoding="utf-8")
+    ]))
     return out, result
 
 
@@ -164,13 +171,13 @@ def run_stability(cfg, input_path=None):
 
     out = run_directory(cfg, "stability", input_path)
     evolve(start, cfg.solver_config(), observer=observer, casimir=spec)
-    with open(os.path.join(out, "stability.csv"), "w", encoding="utf-8") as fh:
+    with _atomic_write(os.path.join(out, "stability.csv")) as fh:
         np.savetxt(fh, rows, fmt="%.17g", delimiter=",",
                    header=STABILITY_HEADER, comments="")
     sup = max(row[1] for row in rows)
-    Path(out, "summary.txt").write_text(key_value_text([
+    _write_text(os.path.join(out, "summary.txt"), key_value_text([
         ("sup_orbital_distance", sup), ("amplitude", cfg.amplitude),
-    ]), encoding="utf-8")
+    ]))
     return out, sup
 
 
@@ -195,10 +202,10 @@ def run_rearrange(cfg, input_path):
     banded = level_band_defect(field, rearranged, ladder)
     out = run_directory(cfg, "rearrange", input_path)
     save_snapshot(rearranged, t0, os.path.join(out, "rearranged.snap"))
-    Path(out, "rearrange_report.txt").write_text(key_value_text([
+    _write_text(os.path.join(out, "rearrange_report.txt"), key_value_text([
         ("sup_level_defect", raw), ("banded_defect", banded),
         ("mass_in", mass(field)), ("mass_out", mass(rearranged)),
-    ]), encoding="utf-8")
+    ]))
     return out, banded
 
 

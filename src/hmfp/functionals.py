@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .casimir import CasimirSpec
-from .grid import DistributionField, Potential
+from .grid import DistributionField, Potential, _atomic_write
 from .interaction import solve_potential
 
 
@@ -202,7 +202,7 @@ def diagnostics(f: DistributionField, spec: CasimirSpec, time: float = 0.0) -> D
 
 def write_diagnostics_csv(records, path) -> None:
     """Write records to CSV with the canonical header line."""
-    with open(path, "w") as fh:
+    with _atomic_write(path) as fh:
         np.savetxt(fh, [astuple(rec) for rec in records], fmt="%.17g",
                    delimiter=",", header=DiagnosticsRecord.CSV_HEADER,
                    comments="")

@@ -1,4 +1,4 @@
-"""Phase-space grid, field containers, quadrature and snapshot I/O.
+"""Phase-space grid, field containers, quadrature and file I/O.
 
 The domain is the flat torus in the angle theta times a truncated velocity
 line [-v_max, v_max].  Everything downstream (potential solves, steady-state
@@ -9,6 +9,9 @@ are second order in d_v and exact for periodic trigonometric modes in theta.
 
 from __future__ import annotations
 
+import os
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,38 +150,70 @@ def weighted_l1_distance(f: DistributionField, g: DistributionField) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Snapshot file format
+# Artifact files
 # ---------------------------------------------------------------------------
 
-SNAPSHOT_MAGIC = "HMFP1"
+_TEMP_PREFIX = ".hmfp-tmp-"
+
+
+@contextmanager
+def _atomic_write(path, mode="w"):
+    """Open a temporary file beside path for writing (text in UTF-8 unless
+    mode holds "b"); on success it replaces path, so a reader never sees a
+    partial file, and on error it is unlinked before the error propagates."""
+    fd, tmp = tempfile.mkstemp(prefix=_TEMP_PREFIX,
+                               dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with open(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+SNAPSHOT_MAGIC = "HMFP2"
+_TEXT_SNAPSHOT_MAGIC = "HMFP1"
 
 
 def save_snapshot(field: DistributionField, time: float, path) -> None:
-    """Write a field to a text snapshot.
+    """Write a field to a binary snapshot.
 
-    Header line: ``HMFP1 n_theta n_v v_max time``; then one line of n_v
-    space-separated values per theta row, 17 significant digits so the
-    round trip is bit exact.
+    Header line (ASCII): ``HMFP2 n_theta n_v v_max time`` with 17
+    significant digits; then the n_theta*n_v values as little-endian
+    float64 in row order, so the round trip is bit exact.
     """
     g = field.grid
-    header = f"{SNAPSHOT_MAGIC} {g.n_theta} {g.n_v} {g.v_max:.17g} {time:.17g}"
-    # an open handle: given a path, savetxt opens it through np.lib._datasource
-    with open(path, "w") as fh:
-        np.savetxt(fh, field.values, fmt="%.17g", header=header, comments="")
+    header = f"{SNAPSHOT_MAGIC} {g.n_theta} {g.n_v} {g.v_max:.17g} {time:.17g}\n"
+    with _atomic_write(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(field.values.astype("<f8", copy=False).data)
 
 
 def load_snapshot(path) -> tuple[DistributionField, float]:
-    """Read a snapshot written by save_snapshot; returns (field, time)."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 5 or header[0] != SNAPSHOT_MAGIC:
-            raise ValueError(f"{path}: not a {SNAPSHOT_MAGIC} snapshot")
-        n_theta, n_v = int(header[1]), int(header[2])
-        v_max, time = float(header[3]), float(header[4])
-        data = np.array(fh.read().split(), dtype=float)
-    if data.size != n_theta * n_v:
-        raise ValueError(
-            f"{path}: expected {n_theta * n_v} values, found {data.size}"
-        )
+    """Read a snapshot written by save_snapshot; returns (field, time).
+
+    Also reads the older HMFP1 text snapshots: the same header, then the
+    values as whitespace-separated decimals.
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("ascii").split()
+        body = fh.read()
+    if len(header) != 5 or header[0] not in (SNAPSHOT_MAGIC, _TEXT_SNAPSHOT_MAGIC):
+        raise ValueError(f"{path}: not a {SNAPSHOT_MAGIC} snapshot")
+    n_theta, n_v = int(header[1]), int(header[2])
+    v_max, time = float(header[3]), float(header[4])
+    if header[0] == SNAPSHOT_MAGIC:
+        if len(body) != 8 * n_theta * n_v:
+            raise ValueError(
+                f"{path}: expected {8 * n_theta * n_v} bytes of values, found {len(body)}"
+            )
+        data = np.frombuffer(body, dtype="<f8")
+    else:
+        data = np.array(body.split(), dtype=float)
+        if data.size != n_theta * n_v:
+            raise ValueError(
+                f"{path}: expected {n_theta * n_v} values, found {data.size}"
+            )
     grid = PhaseGrid(n_theta, n_v, v_max)
     return DistributionField(grid, data.reshape(n_theta, n_v)), time

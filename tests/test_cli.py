@@ -1,8 +1,11 @@
 """End-to-end command-line runs: artifacts, exit codes, determinism."""
 
+import ctypes
 import math
 import os
+import struct
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -401,13 +404,20 @@ def test_diag_missing_snapshot_exits_one(tmp_path, capsys):
     assert "cannot read snapshot" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", [
-    "HMFP0 8 8 6 0\n" + "1 " * 64 + "\n",
-    "HMFP1 8 8 6 0\n" + "1 " * 63 + "\n",
-], ids=["bad_magic", "short_data"])
-def test_malformed_snapshot_exits_one(tmp_path, capsys, text):
+ONES_8X8 = struct.pack("<64d", *[1.0] * 64)
+
+
+@pytest.mark.parametrize("data", [
+    b"HMFP0 8 8 6 0\n" + b"1 " * 64 + b"\n",
+    b"HMFP1 8 8 6 0\n" + b"1 " * 63 + b"\n",
+    b"HMFP2 8 8 6 0\n" + ONES_8X8[:-1],
+    b"HMFP2 8 8 6 0\n" + ONES_8X8 + b"\0",
+    b"HMFP2 8 8 6 \xb5\n" + ONES_8X8,
+], ids=["bad_magic", "short_data", "truncated_binary", "oversized_binary",
+        "non_ascii_header"])
+def test_malformed_snapshot_exits_one(tmp_path, capsys, data):
     snap = tmp_path / "bad.snap"
-    snap.write_text(text)
+    snap.write_bytes(data)
     cfg = write_cfg(tmp_path, "casimir = entropy\n")
     assert main(["diag", "--config", cfg, "--input", str(snap)]) == 1
     err = capsys.readouterr().err
@@ -504,3 +514,41 @@ def test_argument_parser_surface(capsys):
     assert main(["simulate", "--config", "x.cfg"]) == 1
     assert main(["steady"]) == 1
     capsys.readouterr()
+
+
+def diag_twice(tmp_path):
+    snap, _ = write_probe_snapshot(tmp_path, n=16)
+    cfg = write_cfg(tmp_path, "casimir = entropy\n")
+    for _ in range(2):
+        assert main(["diag", "--config", cfg, "--input", snap]) == 0
+
+
+@pytest.fixture
+def fresh_heap_setting():
+    hmfp.cli._hold_freed_heap.cache_clear()
+    yield
+    hmfp.cli._hold_freed_heap.cache_clear()
+
+
+def test_main_holds_freed_heap_once_per_process(tmp_path, monkeypatch, capsys,
+                                                 fresh_heap_setting):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL",
+                        lambda name: SimpleNamespace(mallopt=mallopt))
+    monkeypatch.chdir(tmp_path)
+    diag_twice(tmp_path)
+    # M_MMAP_THRESHOLD = -3 and M_TRIM_THRESHOLD = -1 in glibc's malloc.h
+    assert calls == [(-3, 64 << 20), (-1, 128 << 20)]
+
+
+def test_main_runs_where_libc_has_no_mallopt(tmp_path, monkeypatch, capsys,
+                                              fresh_heap_setting):
+    # ctypes raises AttributeError for a symbol the library lacks
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace())
+    monkeypatch.chdir(tmp_path)
+    diag_twice(tmp_path)

@@ -1,6 +1,9 @@
 """Grid construction, field validation, quadrature, and snapshot I/O."""
 
 import math
+import os
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from hmfp.grid import (
     DistributionField,
     Potential,
     _adopt,
+    _atomic_write,
     field_from_function,
     load_snapshot,
     make_grid,
@@ -141,7 +145,7 @@ def test_weighted_l1_requires_matching_grids():
     values=arrays(
         np.float64, st.tuples(st.integers(8, 12), st.integers(8, 12)),
         elements=st.floats(min_value=0.0, allow_infinity=False)
-        | st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308])),
+        | st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300])),
     time=st.floats(allow_nan=False, allow_infinity=False),
     v_max=st.floats(min_value=1e-3, max_value=1e3),
 )
@@ -151,30 +155,38 @@ def test_snapshot_round_trip_is_bitwise(tmp_path, values, time, v_max):
     path = tmp_path / "state.snap"
     save_snapshot(f, time, path)
     back, t = load_snapshot(path)
-    assert t == time
+    assert struct.pack("<d", t) == struct.pack("<d", time)
     assert back.grid == g
-    assert np.array_equal(back.values, f.values)
+    # bit patterns, so -0.0 and 0.0 differ
+    assert np.array_equal(back.values.view(np.uint64), values.view(np.uint64))
+
+
+PINNED_VALUES = np.zeros((8, 8))
+PINNED_VALUES[0, :4] = [0.1, 1.0 / 3.0, 2.5, 1e-5]
+PINNED_VALUES[3, 3] = 5e-324
+PINNED_VALUES[5, 6] = 1e300
+PINNED_VALUES[7, 7] = 12.566370614359172
+
+# the same field at t = 0.75 as a text (HMFP1) snapshot
+PINNED_HMFP1_TEXT = (
+    "HMFP1 8 8 6 0.75\n"
+    "0.10000000000000001 0.33333333333333331 2.5 1.0000000000000001e-05"
+    " 0 0 0 0\n"
+    "0 0 0 0 0 0 0 0\n"
+    "0 0 0 0 0 0 0 0\n"
+    "0 0 0 4.9406564584124654e-324 0 0 0 0\n"
+    "0 0 0 0 0 0 0 0\n"
+    "0 0 0 0 0 0 1.0000000000000001e+300 0\n"
+    "0 0 0 0 0 0 0 0\n"
+    "0 0 0 0 0 0 0 12.566370614359172\n"
+)
 
 
 def test_snapshot_and_diagnostics_bytes_are_pinned(tmp_path):
-    values = np.zeros((8, 8))
-    values[0, :4] = [0.1, 1.0 / 3.0, 2.5, 1e-5]
-    values[3, 3] = 5e-324
-    values[5, 6] = 1e300
-    values[7, 7] = 12.566370614359172
-    save_snapshot(DistributionField(make_grid(8, 8, 6.0), values), 0.75,
+    save_snapshot(DistributionField(make_grid(8, 8, 6.0), PINNED_VALUES), 0.75,
                   tmp_path / "state.snap")
-    assert (tmp_path / "state.snap").read_text() == (
-        "HMFP1 8 8 6 0.75\n"
-        "0.10000000000000001 0.33333333333333331 2.5 1.0000000000000001e-05"
-        " 0 0 0 0\n"
-        "0 0 0 0 0 0 0 0\n"
-        "0 0 0 0 0 0 0 0\n"
-        "0 0 0 4.9406564584124654e-324 0 0 0 0\n"
-        "0 0 0 0 0 0 0 0\n"
-        "0 0 0 0 0 0 1.0000000000000001e+300 0\n"
-        "0 0 0 0 0 0 0 0\n"
-        "0 0 0 0 0 0 0 12.566370614359172\n"
+    assert (tmp_path / "state.snap").read_bytes() == (
+        b"HMFP2 8 8 6 0.75\n" + struct.pack("<64d", *PINNED_VALUES.ravel())
     )
     records = [
         DiagnosticsRecord(0.0, 12.566370614359172, 0.0, 6.283185307179586,
@@ -194,15 +206,46 @@ def test_snapshot_and_diagnostics_bytes_are_pinned(tmp_path):
     )
 
 
+def test_text_snapshot_still_loads_bitwise(tmp_path):
+    path = tmp_path / "legacy.snap"
+    path.write_text(PINNED_HMFP1_TEXT)
+    field, t = load_snapshot(path)
+    assert t == 0.75
+    assert field.grid == make_grid(8, 8, 6.0)
+    assert np.array_equal(field.values.view(np.uint64),
+                          PINNED_VALUES.view(np.uint64))
+
+
 def test_snapshot_rejects_corrupt_header(tmp_path):
     g = make_grid(16, 16, 4.0)
     f = maxwellian(g, 1.0)
     path = tmp_path / "state.snap"
     save_snapshot(f, 0.0, path)
-    text = path.read_text()
-    path.write_text("garbage\n" + text)
+    data = path.read_bytes()
+    path.write_bytes(b"garbage\n" + data)
     with pytest.raises(ValueError):
         load_snapshot(path)
+
+
+def test_failed_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "state.snap"
+    save_snapshot(maxwellian(make_grid(16, 16, 4.0), 1.0), 0.0, path)
+    before = path.read_bytes()
+
+    class Unwritable:
+        def astype(self, *args, **kwargs):
+            raise OSError("device full")
+
+    # fails after the header went out: the old snapshot must survive whole
+    broken = SimpleNamespace(grid=make_grid(8, 8, 6.0), values=Unwritable())
+    with pytest.raises(OSError, match="device full"):
+        save_snapshot(broken, 1.0, path)
+    assert path.read_bytes() == before
+    with pytest.raises(RuntimeError):
+        with _atomic_write(tmp_path / "report.txt") as fh:
+            fh.write("partial")
+            raise RuntimeError("interrupted")
+    assert os.listdir(tmp_path) == ["state.snap"]
 
 
 def test_potential_validation():
