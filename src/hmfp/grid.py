@@ -161,10 +161,13 @@ def _atomic_write(path, mode="w"):
     """Open a temporary file beside path for writing (text in UTF-8 unless
     mode holds "b"); on success it replaces path, so a reader never sees a
     partial file, and on error it is unlinked before the error propagates."""
-    fd, tmp = tempfile.mkstemp(prefix=_TEMP_PREFIX,
-                               dir=os.path.dirname(os.path.abspath(path)))
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=_TEMP_PREFIX, dir=directory)
     try:
         with open(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            # mkstemp makes the file owner-only; take the read and write
+            # bits the umask left on the directory, as a plain open would
+            os.chmod(tmp, os.stat(directory).st_mode & 0o666)
             yield fh
         os.replace(tmp, path)
     except BaseException:

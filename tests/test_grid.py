@@ -2,6 +2,7 @@
 
 import math
 import os
+import stat
 import struct
 from types import SimpleNamespace
 
@@ -246,6 +247,15 @@ def test_failed_write_keeps_the_old_file(tmp_path):
             fh.write("partial")
             raise RuntimeError("interrupted")
     assert os.listdir(tmp_path) == ["state.snap"]
+
+
+def test_artifacts_take_the_directory_permissions(tmp_path):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    run_dir.chmod(0o755)
+    save_snapshot(maxwellian(make_grid(16, 16, 4.0), 1.0), 0.0,
+                  run_dir / "state.snap")
+    assert stat.S_IMODE((run_dir / "state.snap").stat().st_mode) == 0o644
 
 
 def test_potential_validation():
