@@ -9,10 +9,10 @@ The central object is the sublevel measure of e(theta, v) = v**2/2 + phi,
 which is exact in v (each theta section of the sublevel set is an interval)
 and discrete only in theta.  It is the order k = 0 case of the one velocity
 integral behind the steady profiles, steady._section_sum, whose order k = 1
-case is its antiderivative in e.  Its inverse is computed by the fixed-step
-bisection of the steady-state multiplier solves, on the two-sided bound
-a_inv(s) in [s**2/(32 pi**2) + min phi, s**2/(32 pi**2) + max phi], which
-brackets the root for every potential.
+case is its antiderivative in e.  Its inverse is computed by the bisection
+of the steady-state multiplier solves, run down to adjacent floats, on the
+two-sided bound a_inv(s) in [s**2/(32 pi**2) + min phi, s**2/(32 pi**2) +
+max phi], which brackets the root for every potential.
 Rearranging a field with respect to a potential composes the pseudo-inverse
 of its distribution function with this measure, giving a field that is
 nonincreasing along level sets of the microscopic energy and equimeasurable
@@ -135,8 +135,9 @@ def inverse_sublevel_measure(phi: Potential, s):
     """Inverse of the sublevel measure by bisection on its exact bracket.
 
     For every potential, a_inv(s) lies between s**2/(32 pi**2) + min phi and
-    s**2/(32 pi**2) + max phi; 90 bisection steps pin the root to relative
-    machine precision.
+    s**2/(32 pi**2) + max phi; bisection narrows that bracket until every
+    root sits between adjacent floats, which pins it to relative machine
+    precision.
     """
     s = np.asarray(s, dtype=float)
     base = s * s / (32.0 * np.pi ** 2)
@@ -172,17 +173,20 @@ def compose_profile(
 ) -> DistributionField:
     """Sample fsharp(a_phi(v**2/2 + phi)) on the grid.
 
-    The sublevel measure is evaluated in chunks so the (cells x n_theta)
+    The profile is evaluated once per theta node and distinct kinetic
+    energy v**2/2, then scattered to the velocity columns that share it.
+    The sublevel measure is evaluated in chunks so the (energies x n_theta)
     broadcast never materializes for large grids.
     """
-    e = (0.5 * grid.v[np.newaxis, :] ** 2 + phi.values[:, np.newaxis]).ravel()
+    kinetic, column = np.unique(0.5 * grid.v ** 2, return_inverse=True)
+    e = (kinetic[np.newaxis, :] + phi.values[:, np.newaxis]).ravel()
     out = np.empty_like(e)
     chunk = 8192
     for start in range(0, e.size, chunk):
         out[start : start + chunk] = fsharp.evaluate(
             sublevel_measure_a(phi, e[start : start + chunk])
         )
-    return DistributionField(grid, out.reshape(grid.n_theta, grid.n_v))
+    return DistributionField(grid, out.reshape(grid.n_theta, kinetic.size)[:, column])
 
 
 def microscopic_energy_pairing(f: DistributionField, phi: Potential) -> float:

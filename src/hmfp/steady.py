@@ -18,10 +18,11 @@ orders 0 and 1.  The expensive grid sampling happens once, when a profile
 is materialized as a DistributionField.
 
 The entropy multiplier has a closed form.  The power multipliers come from
-one fixed-step bisection in lambda: the maps are strictly monotone but
-their derivatives are kinked, so bisection is the unconditionally safe
-choice.  With two constraints the mass constraint fixes |mu| in closed
-form for each lambda, which leaves that single root.
+one bisection in lambda, run until its bracket ends are adjacent floats:
+the maps are strictly monotone but their derivatives are kinked, so
+bisection is the unconditionally safe choice.  With two constraints the
+mass constraint fixes |mu| in closed form for each lambda, which leaves
+that single root.
 """
 
 from __future__ import annotations
@@ -199,15 +200,34 @@ def build_F_phi(
 
 
 def _bisect(below, lo, hi):
-    """Elementwise root by 90 bisection steps on a given bracket.
+    """Elementwise root by bisection on a given bracket, down to adjacent floats.
 
     below(x) is True where the root lies above x; lo and hi are scalars or
     arrays of one shape that bracket the root.  The endpoints themselves
-    are never evaluated.  90 halvings narrow any bracket of moderate width
-    to adjacent floats, so no tolerance is needed.
+    are never evaluated.  The loop returns the first midpoint that has the
+    bits of a bracket end, which happens once the ends are adjacent floats,
+    and otherwise the midpoint after 90 halvings.  Such a midpoint is a
+    fixed point of further halving: below(mid) either leaves the bracket as
+    it is or collapses it onto mid, so the 90-step loop would return those
+    same bits.  Zero is the exception, since mid == lo cannot tell -0.0
+    from +0.0, so a zero midpoint never stops the loop.  Scalar brackets
+    run a plain-float loop; array brackets stop once every lane has
+    stopped.
     """
+    if isinstance(lo, float) and isinstance(hi, float):
+        for _ in range(90):
+            mid = 0.5 * (lo + hi)
+            if (mid == lo or mid == hi) and mid != 0.0:
+                return mid
+            if below(mid):
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
     for _ in range(90):
         mid = 0.5 * (lo + hi)
+        if np.all(((mid == lo) | (mid == hi)) & (mid != 0.0)):
+            return mid
         is_below = below(mid)
         lo = np.where(is_below, mid, lo)
         hi = np.where(is_below, hi, mid)

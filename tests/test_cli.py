@@ -100,6 +100,53 @@ def test_steady_power_two_report_hits_unit_multipliers(tmp_path, monkeypatch):
     assert report["constraint_mj"] == POWER2_MJ
 
 
+def test_steady_warns_when_the_grid_misses_the_mass_constraint(tmp_path, monkeypatch,
+                                                               capsys):
+    # the multipliers meet m1 over the whole velocity line; this 16^2 grid
+    # holds two thirds of that mass
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, "grid.n_theta = 16\ngrid.n_v = 16\n"
+                              "casimir = power:1.05\nconstraints.m1 = 3\n")
+    assert main(["steady", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    (run_dir,) = run_dirs(tmp_path)
+    report = report_values(run_dir)
+    assert abs(report["mass"] - 3.0) > 0.3
+    assert captured.err.count("\n") == 1
+    assert "grid mass %.6g" % report["mass"] in captured.err
+    assert "constraints.m1 = 3" in captured.err
+    assert "grid.n_v" in captured.err and "grid.v_max" in captured.err
+    assert captured.out.count("\n") == 1
+    assert captured.out.startswith(os.path.relpath(run_dir) + ": lambda = ")
+
+
+def test_steady_is_silent_when_the_grid_holds_the_mass(tmp_path, monkeypatch,
+                                                       capsys):
+    # a relative miss of 3.4e-3, below the 1e-2 warning threshold
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, "grid.n_theta = 64\ngrid.n_v = 64\n"
+                              "casimir = power:2\nconstraints.m1 = 3\n")
+    assert main(["steady", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
+    (run_dir,) = run_dirs(tmp_path)
+    assert abs(report_values(run_dir)["mass"] - 3.0) > 1e-3
+
+
+@pytest.mark.parametrize("keys", [
+    "casimir = entropy\nconstraints.m1 = %.17g\nseed.amplitude = 0.5\n"
+    % (4.0 * math.pi),
+    "casimir = power:2\nconstraints.m1 = %.17g\nconstraints.mj = %.17g\n"
+    "seed.amplitude = 0.2\n" % (POWER2_M1, POWER2_MJ),
+], ids=["entropy", "power2"])
+def test_steady_benchmark_ground_states_warn_nothing(tmp_path, monkeypatch, capsys,
+                                                     keys):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, "grid.n_theta = 256\ngrid.n_v = 256\n"
+                              "solver.tol = 1e-9\n" + keys)
+    assert main(["steady", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_steady_missing_mass_key_exits_one(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     cfg = write_cfg(tmp_path, "casimir = entropy\n")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmfp.casimir import entropy_spec
@@ -328,6 +328,50 @@ def test_compose_profile_indicator():
     mismatch = np.count_nonzero(out.values != expect)
     # the cells straddling the cut may fall either way
     assert mismatch <= 2 * g.n_theta
+
+
+def _compose_per_cell(fsharp, grid, phi):
+    """compose_profile evaluated at every cell in 8192-cell chunks: the
+    bitwise reference for its evaluation per distinct kinetic energy."""
+    e = (0.5 * grid.v[np.newaxis, :] ** 2 + phi.values[:, np.newaxis]).ravel()
+    out = np.empty_like(e)
+    for start in range(0, e.size, 8192):
+        out[start : start + 8192] = fsharp.evaluate(
+            sublevel_measure_a(phi, e[start : start + 8192]))
+    return out.reshape(grid.n_theta, grid.n_v)
+
+
+@pytest.mark.parametrize("n_v, v_max, distinct", [(8, 0.7, 5), (16, 7.3, 14)])
+def test_kinetic_energy_is_not_mirror_symmetric_on_every_grid(n_v, v_max, distinct):
+    # why compose_profile takes np.unique of v**2/2 instead of mirroring
+    # half the velocity columns
+    kinetic = 0.5 * make_grid(8, n_v, v_max).v ** 2
+    assert np.unique(kinetic).size == distinct
+    assert kinetic.tobytes() != kinetic[::-1].tobytes()
+
+
+# 70 x 128 cells span two evaluation chunks
+@example(shape=(70, 128, 6.0), potential="random", seed=1)
+@example(shape=(8, 8, 0.7), potential="zero", seed=2)
+@example(shape=(16, 16, 7.3), potential="random", seed=3)
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from([(8, 8, 0.7), (16, 16, 7.3)])
+       | st.tuples(st.integers(8, 80), st.integers(8, 140), st.floats(0.1, 12.0)),
+       potential=st.sampled_from(["zero", "random"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_compose_profile_matches_the_per_cell_evaluation_bitwise(shape, potential, seed):
+    n_theta, n_v, v_max = shape
+    g = make_grid(n_theta, n_v, v_max)
+    rng = np.random.default_rng(seed)
+    f = DistributionField(g, rng.uniform(0.0, 1.0, (n_theta, n_v)))
+    if potential == "zero":
+        # every theta node ties: the energies repeat down each column
+        phi = flat_potential(g)
+    else:
+        phi = Potential(g, rng.normal(0.0, 1.0, n_theta), np.zeros(n_theta))
+    fsharp = pseudo_inverse(distribution_function(f, level_grid(f)))
+    got = compose_profile(fsharp, g, phi).values
+    assert got.tobytes() == _compose_per_cell(fsharp, g, phi).tobytes()
 
 
 def test_equimeasurable_minimize_homogeneous_fixed_point():

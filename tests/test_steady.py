@@ -5,7 +5,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hmfp.casimir import POWER_MIN_EXPONENT, entropy_spec, power_spec
@@ -24,6 +24,7 @@ from hmfp.steady import (
     ode_force,
     ode_force_primitive,
     ode_profile_solve,
+    _bisect,
     _power_coefficient,
     _section_sum,
     profile_moments,
@@ -240,6 +241,84 @@ def test_multiplier_solves_meet_constraints_and_match_the_nested_bisection(
     min_phi = float(phi.values.min())
     assert mult.lam - min_phi == pytest.approx(ref.lam - min_phi, rel=rel)
     assert mult.mu == pytest.approx(ref.mu, rel=rel)
+
+
+def _bisect_90_steps(below, lo, hi):
+    """The 90-step np.where bisection written out: the bitwise reference
+    for _bisect's early stop."""
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        is_below = below(mid)
+        lo = np.where(is_below, mid, lo)
+        hi = np.where(is_below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _ulps(x, n):
+    """x moved n floats up (n > 0) or down (n < 0)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+# st.floats() draws NaN, +-inf, signed zeros and subnormals; the edges add
+# the ends of the float range and brackets too wide to close in 90 halvings
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 1e300,
+          -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+          math.inf, -math.inf]
+_ENDS = st.floats() | st.sampled_from(_EDGES)
+
+
+@st.composite
+def _brackets(draw):
+    """(lo, hi, root): any two ends, or ends a few floats apart, and a root
+    anywhere or at, next to or just outside an end."""
+    lo = draw(_ENDS)
+    hi = draw(_ENDS | st.integers(-3, 3).map(lambda n: _ulps(lo, n)))
+    near_end = st.sampled_from([lo, hi]).flatmap(
+        lambda end: st.integers(-2, 2).map(lambda n: _ulps(end, n)))
+    return lo, hi, draw(_ENDS | near_end)
+
+
+def _below(kind, root):
+    """A threshold at root, or a predicate on the bits of x that is not
+    monotone at all (the proof of the early stop needs no monotonicity)."""
+    if kind == "threshold":
+        return lambda x: x < root
+    return lambda x: np.asarray(x).view(np.uint64) % 3 != 0
+
+
+# -0.0 and +0.0 compare equal: stopping at a zero midpoint would return
+# -0.0 here, where the 90-step loop ends on +0.0
+@example(bracket=(-3.409874247916316e-299, 0.0, 5e-324), kind="threshold")
+@example(bracket=(-1e300, 1e300, 0.5), kind="threshold")
+@settings(max_examples=500, deadline=None)
+@given(bracket=_brackets(), kind=st.sampled_from(["threshold", "bits"]))
+def test_bisect_matches_the_90_step_loop_bitwise_on_scalars(bracket, kind):
+    lo, hi, root = bracket
+    below = _below(kind, root)
+    # the reference adds 0-d arrays, which warn on overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.float64(_bisect_90_steps(below, lo, hi))
+    got = _bisect(below, lo, hi)
+    assert np.float64(got).tobytes() == want.tobytes()
+
+
+@example(lanes=[(-3.409874247916316e-299, 0.0, 5e-324), (1.0, 2.0, 1.5)],
+         kind="threshold")
+@example(lanes=[(math.nan, 1.0, 0.5), (1.0, 2.0, 1.5), (-1e300, 1e300, 3.0)],
+         kind="threshold")
+@settings(max_examples=300, deadline=None)
+@given(lanes=st.lists(_brackets(), min_size=1, max_size=4),
+       kind=st.sampled_from(["threshold", "bits"]))
+def test_bisect_matches_the_90_step_loop_bitwise_elementwise(lanes, kind):
+    lo, hi, root = (np.array(column) for column in zip(*lanes))
+    below = _below(kind, root)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _bisect_90_steps(below, lo, hi)
+        got = _bisect(below, lo, hi)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_unresolvable_casimir_value_raises_convergence_error():
