@@ -10,6 +10,7 @@ second-order convergence of the composition.
 import numpy as np
 
 from hmfp.casimir import entropy_spec
+from hmfp.functionals import diagnostics
 from hmfp.grid import field_from_function, make_grid, weighted_l1_distance
 from hmfp.solver import SolverConfig, evolve
 
@@ -20,7 +21,7 @@ def run_with_table(f0, label, interpolation="linear"):
     records = []
     res = evolve(f0, SolverConfig(dt=0.05, t_end=10.0, record_every=50,
                                   interpolation=interpolation),
-                 observer=lambda rec, fld: records.append(rec), casimir=spec)
+                 observer=lambda t, fld: records.append(diagnostics(fld, spec, t)))
     print("-- %s (%d steps, boundary loss %.2e)" % (label, res.steps,
                                                     res.boundary_loss))
     print("   t      mass            hamiltonian       casimir")

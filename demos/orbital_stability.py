@@ -30,12 +30,11 @@ for eta in etas:
     start = DistributionField(g, base.values * factor[:, None])
     distances = []
 
-    def observer(rec, fld):
+    def observer(t, fld):
         d, shift = orbital_distance(fld, base)
-        distances.append((rec.time, d, shift))
+        distances.append((t, d, shift))
 
-    evolve(start, SolverConfig(dt=0.05, t_end=10.0, record_every=20),
-           observer=observer, casimir=spec)
+    evolve(start, SolverConfig(dt=0.05, t_end=10.0, record_every=20), observer)
     sup = max(d for _, d, _ in distances)
     sups.append(sup)
     print("eta = %6.0e: d(0) = %.3e, sup_t d = %.3e, sup/eta = %.2f"
@@ -48,6 +47,5 @@ for lo, hi, s_lo, s_hi in zip(etas, etas[1:], sups, sups[1:]):
 print("\nan unperturbed run for reference:")
 distances = []
 evolve(base, SolverConfig(dt=0.05, t_end=10.0, record_every=20),
-       observer=lambda rec, fld: distances.append(orbital_distance(fld, base)[0]),
-       casimir=spec)
+       observer=lambda t, fld: distances.append(orbital_distance(fld, base)[0]))
 print("  sup_t d = %.3e (numerical drift floor)" % max(distances))

@@ -6,7 +6,7 @@ class ConvergenceError(RuntimeError):
 
 
 class SolverAbort(RuntimeError):
-    """A time integration or ODE march produced non-finite state and stopped."""
+    """A time integration or ODE march could not go on and stopped."""
 
 
 class ConfigError(ValueError):

@@ -132,14 +132,14 @@ def run_evolve(cfg, input_path):
     out = run_directory(cfg, "evolve", input_path)
     records = []
 
-    def observer(rec, fld):
+    def observer(time, fld):
+        rec = diagnostics(fld, spec, time)
         if cfg.snapshot_every > 0 and len(records) % cfg.snapshot_every == 0:
             name = "snap_%06d.snap" % len(records)
-            save_snapshot(fld, rec.time, os.path.join(out, name))
+            save_snapshot(fld, time, os.path.join(out, name))
         records.append(rec)
 
-    result = evolve(field, cfg.solver_config(), observer=observer,
-                    casimir=spec, t_start=t0)
+    result = evolve(field, cfg.solver_config(), observer, t0)
     write_diagnostics_csv(records, os.path.join(out, "diagnostics.csv"))
     save_snapshot(result.field, result.time, os.path.join(out, "final.snap"))
     return out, result
@@ -160,17 +160,21 @@ def run_stability(cfg, input_path=None):
         base = _ground_state(cfg, spec).field
     start = perturb(base, cfg.kind, cfg.amplitude, cfg.seed)
     if cfg.renormalize:
-        start = renormalize_to_constraints(start, spec, cfg.constraints())
+        constraints = cfg.constraints()
+        try:
+            start = renormalize_to_constraints(start, spec, constraints)
+        except ValueError as exc:
+            raise ConfigError("perturbation.renormalize: %s" % exc) from exc
 
     rows = []
 
-    def observer(rec, fld):
+    def observer(time, fld):
+        rec = diagnostics(fld, spec, time)
         d, shift = orbital_distance(fld, base)
-        rows.append((rec.time, d, shift, rec.mass, rec.hamiltonian,
-                     rec.casimir))
+        rows.append((time, d, shift, rec.mass, rec.hamiltonian, rec.casimir))
 
     out = run_directory(cfg, "stability", input_path)
-    evolve(start, cfg.solver_config(), observer=observer, casimir=spec)
+    evolve(start, cfg.solver_config(), observer)
     with _atomic_write(os.path.join(out, "stability.csv")) as fh:
         np.savetxt(fh, rows, fmt="%.17g", delimiter=",",
                    header=STABILITY_HEADER, comments="")

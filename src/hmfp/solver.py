@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SolverAbort
-from .functionals import diagnostics, mass
+from .functionals import mass
 from .grid import DistributionField
 from .interaction import solve_potential
 
@@ -188,48 +188,41 @@ def strang_step(f, dt, interpolation=LINEAR):
     return advect_theta(kicked, 0.5 * dt, interpolation), losses
 
 
-def evolve(f0, config, observer=None, casimir=None, t_start=0.0):
+def evolve(f0, config, observer=None, t_start=0.0):
     """March f0 forward to t_end and return an EvolveResult.
 
     The number of steps is round(t_end / dt), so the final time matches
     t_end within one dt.  After every step the total mass is renormalized
     back to its initial value whenever the relative deviation exceeds
-    1e-13, keeping long runs on the constraint manifold.  Non-finite
-    values abort with the offending step index.
+    1e-13, keeping long runs on the constraint manifold.
 
-    When an observer is given it is called as observer(record, field) at
-    step 0 and after every record_every-th step, where record is the
-    DiagnosticsRecord at that time.  The casimir argument selects which
-    Casimir integral those records report; diagnostics are skipped
-    entirely when no observer is attached.
+    When an observer is given it is called as observer(time, field) at
+    step 0 and after every record_every-th step; what to measure there is
+    the caller's choice.  One abort rule covers the step, the mass
+    renormalization and the observer: a ValueError or ArithmeticError at
+    step k (a non-finite force, all mass gone from the velocity box, a
+    failed measurement) becomes SolverAbort("aborted at step k: ...").
+    Other exceptions, such as an OSError from a snapshot write, pass
+    through unwrapped.
     """
-    if observer is not None and casimir is None:
-        raise ValueError("recording diagnostics needs a casimir spec")
     steps = int(round(config.t_end / config.dt))
     m0 = mass(f0)
     f = f0
     outflow = clipped_mass = 0.0
-
-    def record(k):
-        if observer is not None:
-            try:
-                rec = diagnostics(f, casimir, t_start + k * config.dt)
-            except (ValueError, FloatingPointError) as exc:
-                raise SolverAbort("aborted at step %d: %s" % (k, exc)) from exc
-            observer(rec, f)
-
-    record(0)
-    for k in range(1, steps + 1):
+    for k in range(steps + 1):
         try:
-            f, losses = strang_step(f, config.dt, config.interpolation)
-        except (ValueError, FloatingPointError) as exc:
+            if k > 0:
+                f, losses = strang_step(f, config.dt, config.interpolation)
+                outflow += losses.outflow
+                clipped_mass += losses.clipped_mass
+                m = mass(f)
+                if m0 > 0.0 and abs(m - m0) > 1e-13 * m0:
+                    if m == 0.0:
+                        raise ValueError("all mass left the velocity box")
+                    f = DistributionField(f.grid, f.values * (m0 / m))
+            if observer is not None and k % config.record_every == 0:
+                observer(t_start + k * config.dt, f)
+        except (ValueError, ArithmeticError) as exc:
             raise SolverAbort("aborted at step %d: %s" % (k, exc)) from exc
-        outflow += losses.outflow
-        clipped_mass += losses.clipped_mass
-        m = mass(f)
-        if m0 > 0.0 and abs(m - m0) > 1e-13 * m0:
-            f = DistributionField(f.grid, f.values * (m0 / m))
-        if k % config.record_every == 0:
-            record(k)
     return EvolveResult(f, t_start + steps * config.dt, steps,
                         outflow, clipped_mass)

@@ -41,5 +41,13 @@ def maxwellian(grid, m1):
     return DistributionField(grid, values.copy())
 
 
+def drain_field():
+    """Two dense theta rows on a 16^2 grid whose force kicks all mass out
+    of the v_max = 1 box in one step of dt = 0.5."""
+    values = np.zeros((16, 16))
+    values[[0, 4]] = 100.0
+    return DistributionField(make_grid(16, 16, 1.0), values)
+
+
 def default_grid(n=64, v_max=6.0):
     return make_grid(n, n, v_max)

@@ -13,6 +13,7 @@ import pytest
 from hmfp.casimir import entropy_spec, power_spec
 from hmfp.functionals import (
     csiszar_kullback_gap,
+    diagnostics,
     hamiltonian,
     mass,
     orbital_distance,
@@ -190,7 +191,7 @@ def test_criterion_06_conservation_under_flow():
     hom = field_from_function(g, lambda th, v: np.exp(-0.5 * v * v) * np.ones_like(th))
     recs = []
     evolve(hom, SolverConfig(dt=0.05, t_end=10.0, record_every=10),
-           observer=lambda rec, fld: recs.append(rec), casimir=entropy_spec())
+           observer=lambda t, fld: recs.append(diagnostics(fld, entropy_spec(), t)))
     m_drift = max(abs(r.mass - recs[0].mass) for r in recs)
     h_drift = max(abs(r.hamiltonian - recs[0].hamiltonian) for r in recs) / abs(recs[0].hamiltonian)
     c_drift = max(abs(r.casimir - recs[0].casimir) for r in recs) / abs(recs[0].casimir)
@@ -212,8 +213,7 @@ def test_criterion_07_orbital_stability():
         pert = DistributionField(g, f0.values * factor[:, None])
         ds = []
         evolve(pert, SolverConfig(dt=0.05, t_end=10.0, record_every=10),
-               observer=lambda rec, fld: ds.append(orbital_distance(fld, f0)[0]),
-               casimir=spec)
+               observer=lambda t, fld: ds.append(orbital_distance(fld, f0)[0]))
         sups[eta] = max(ds)
     ratio = sups[2e-3] / sups[1e-3]
     elapsed = time.monotonic() - t0

@@ -22,13 +22,14 @@ from hmfp.functionals import (
     read_diagnostics_csv,
 )
 from hmfp.grid import (
+    DistributionField,
     field_from_function,
     load_snapshot,
     make_grid,
     save_snapshot,
 )
 
-from conftest import maxwellian
+from conftest import drain_field, maxwellian
 
 ENTROPY_FLAT_MASS = 2.0 * math.pi * math.sqrt(2.0 * math.pi)
 POWER2_M1 = 4.0 * math.pi * math.sqrt(2.0) / 3.0
@@ -397,6 +398,44 @@ def test_stability_csv_layout(tmp_path, monkeypatch):
     for line in lines[1:]:
         assert len(line.split(",")) == 6
         float(line.split(",")[1])
+
+
+# ---------------------------------------------------------------------------
+# inputs whose mass cannot be kept
+
+
+def zero_field():
+    return DistributionField(make_grid(16, 16, 1.0), np.zeros((16, 16)))
+
+
+def gaussian_field():
+    return maxwellian(make_grid(16, 16, 6.0), 1.0)
+
+
+RENORMALIZE = "perturbation.renormalize = true\n"
+
+
+@pytest.mark.parametrize("command, make_input, keys, code, message", [
+    ("evolve", drain_field, "", 3,
+     "solver aborted: aborted at step 1: all mass left the velocity box"),
+    ("stability", drain_field, "", 3,
+     "solver aborted: aborted at step 1: all mass left the velocity box"),
+    ("stability", zero_field, RENORMALIZE + "constraints.m1 = 1.0\n", 1,
+     "perturbation.renormalize: cannot renormalize the zero field"),
+    ("stability", gaussian_field, RENORMALIZE + "constraints.m1 = 1e-9\n", 1,
+     "perturbation.renormalize: renormalization dilated all mass out of the grid"),
+])
+def test_unkeepable_mass_exits_with_one_line(tmp_path, monkeypatch, capsys,
+                                             command, make_input, keys, code,
+                                             message):
+    monkeypatch.chdir(tmp_path)
+    snap = str(tmp_path / "input.snap")
+    save_snapshot(make_input(), 0.0, snap)
+    cfg = write_cfg(tmp_path, "solver.dt = 0.5\nsolver.t_end = 0.5\n" + keys)
+    assert main([command, "--config", cfg, "--input", snap]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert message in err
 
 
 # ---------------------------------------------------------------------------
