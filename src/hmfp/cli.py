@@ -52,9 +52,11 @@ def _hold_freed_heap():
     glibc serves each block above M_MMAP_THRESHOLD (128 KiB at start) with
     its own mmap and raises the threshold only after a larger mapped block
     is freed; it returns the heap top to the kernel above M_TRIM_THRESHOLD.
-    Left alone, a 512^2 evolve maps, faults in and unmaps its 2 MiB
-    temporaries on every step.  Where libc has no mallopt (macOS, Windows)
-    this does nothing, and musl's mallopt ignores both settings.
+    Left alone, glibc maps, faults in and unmaps many of the field-sized
+    temporaries (2 MiB at 512^2) of every command: the steady solves'
+    profiles, the v advection's gathers, the measurements at each evolve
+    record.  Where libc has no mallopt (macOS, Windows) this does nothing,
+    and musl's mallopt ignores both settings.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -67,19 +67,24 @@ def make_grid(n_theta: int, n_v: int, v_max: float) -> PhaseGrid:
     return PhaseGrid(n_theta, n_v, v_max)
 
 
+def _check_values(values, what, nonnegative=False):
+    """Raise ValueError unless every value is finite and, when nonnegative
+    is set, none is below zero (-0.0 passes)."""
+    # NaN propagates through min, so one min/max pair passes every good
+    # array; the detailed scan runs only on failure, and finiteness wins
+    if not (values.min() >= (0.0 if nonnegative else -_FLOAT_MAX) and values.max() < np.inf):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{what} values must be finite")
+        raise ValueError(f"{what} values must be nonnegative")
+
+
 def _adopt(values, shape, what, mismatch, nonnegative=False):
     """Read-only, C-contiguous float64 copy of values, checked for its shape
-    (else mismatch, formatted with the shape found), for finite values and,
-    when nonnegative is set, for no value below zero (-0.0 passes)."""
+    (else mismatch, formatted with the shape found) and by _check_values."""
     out = np.array(values, dtype=float, order="C")
     if out.shape != shape:
         raise ValueError(mismatch.format(shape=out.shape))
-    # NaN propagates through min, so one min/max pair passes every good
-    # array; the detailed scan runs only on failure, and finiteness wins
-    if not (out.min() >= (0.0 if nonnegative else -_FLOAT_MAX) and out.max() < np.inf):
-        if not np.all(np.isfinite(out)):
-            raise ValueError(f"{what} values must be finite")
-        raise ValueError(f"{what} values must be nonnegative")
+    _check_values(out, what, nonnegative)
     out.flags.writeable = False
     return out
 

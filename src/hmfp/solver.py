@@ -12,13 +12,14 @@ and that loss is tallied rather than hidden.
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SolverAbort
 from .functionals import mass
-from .grid import DistributionField
+from .grid import DistributionField, PhaseGrid, _check_values
 from .interaction import solve_potential
 
 LINEAR = "linear"
@@ -77,72 +78,138 @@ def _split_shift(shift):
     return base.astype(np.int64), frac
 
 
-def _interpolate(take, u, interpolation):
-    """Interpolate at fraction u past the lower node.
+def _weights(u, interpolation):
+    """Stencil of fraction u past the lower node: (node, weight) pairs.
 
-    take(k) gathers the samples k nodes past the lower node.  Linear
-    weights use nodes 0 and 1, cubic Lagrange weights nodes -1 to 2.
+    Linear weights use nodes 0 and 1, cubic Lagrange weights nodes -1 to 2.
     """
     if interpolation == LINEAR:
-        return (1.0 - u) * take(0) + u * take(1)
-    wm1 = -u * (u - 1.0) * (u - 2.0) / 6.0
-    w0 = (u + 1.0) * (u - 1.0) * (u - 2.0) / 2.0
-    w1 = -(u + 1.0) * u * (u - 2.0) / 2.0
-    w2 = (u + 1.0) * u * (u - 1.0) / 6.0
-    return wm1 * take(-1) + w0 * take(0) + w1 * take(1) + w2 * take(2)
+        return ((0, 1.0 - u), (1, u))
+    return ((-1, -u * (u - 1.0) * (u - 2.0) / 6.0),
+            (0, (u + 1.0) * (u - 1.0) * (u - 2.0) / 2.0),
+            (1, -(u + 1.0) * u * (u - 2.0) / 2.0),
+            (2, (u + 1.0) * u * (u - 1.0) / 6.0))
+
+
+def _interpolate(take, stencil, out, spare):
+    """Write the sum of weight * node over the stencil into out.
+
+    take(k, buf) returns the samples k nodes past the lower node, gathered
+    into buf or into an array of its own; out takes the first node, spare
+    each later one.  Each product and the left-to-right order of the sum
+    are those of the expression w0 * x0 + w1 * x1 + ..., so out holds its
+    bits.
+    """
+    k, weight = stencil[0]
+    np.multiply(weight, take(k, out), out=out)
+    for k, weight in stencil[1:]:
+        node = take(k, spare)
+        np.multiply(weight, node, out=node)
+        np.add(out, node, out=out)
+    return out
 
 
 @functools.lru_cache(maxsize=8)
 def _theta_stencil(grid, dt):
-    """Flat gather index and fraction of the theta shift by v*dt.
+    """Flat gather index and stencils of the theta shift by v*dt.
 
     The departure angle of node i is theta_i - v dt, i.e. index i + s with
     s = -v dt / d_theta, one shift per v column; it depends only on the
     grid and dt, so every step of a run reuses one entry.  index holds
-    lower * n_v + col for the lower stencil node, reduced modulo n_theta.
-    Both arrays are read-only because every caller shares them.
+    lower * n_v + col for the lower stencil node, reduced modulo n_theta;
+    stencils maps each interpolation to its per-column weights.  Every
+    array is read-only because every caller shares them.
     """
     n_v = grid.n_v
     base, u = _split_shift(-grid.v * dt / grid.d_theta)
     lower = (np.arange(grid.n_theta)[:, None] + base[None, :]) % grid.n_theta
     index = lower * n_v + np.arange(n_v)[None, :]
+    stencils = {mode: _weights(u, mode) for mode in (LINEAR, CUBIC)}
     index.flags.writeable = False
-    u.flags.writeable = False
-    return index, u
+    for stencil in stencils.values():
+        for _, weight in stencil:
+            weight.flags.writeable = False
+    return index, stencils
 
 
-def advect_theta(f, dt, interpolation=LINEAR):
+class _StepField(NamedTuple):
+    """A field's grid and values without the copy, check and freeze of a
+    DistributionField.  values is a workspace buffer that the next kernel
+    call overwrites; mass and solve_potential read only these two names."""
+
+    grid: PhaseGrid
+    values: np.ndarray
+
+
+class _Workspace:
+    """The step buffers of one evolve call on one grid.
+
+    wrapped holds the state in rows 1..n_theta; before each theta
+    advection row 0 takes a copy of the last state row and rows
+    n_theta + 1 and n_theta + 2 of the first two, so stencil node k of
+    the lower node lies k + 1 rows in and one gather index serves every
+    node.  Theta advection writes to half, v advection to the state rows;
+    product holds each stencil node after the first while it is weighted,
+    and padded, the zero-guarded copy that v advection reads, only ever
+    grows.
+    """
+
+    def __init__(self, grid):
+        shape = (grid.n_theta, grid.n_v)
+        self.wrapped = np.empty((grid.n_theta + 3, grid.n_v))
+        self.state = self.wrapped[1:grid.n_theta + 1]
+        self.half = np.empty(shape)
+        self.product = np.empty(shape)
+        self.padded = np.zeros((grid.n_theta, 0))
+
+
+def _result(work, grid, values):
+    """A kernel's output field: a view into the caller's workspace, or a
+    DistributionField when the kernel ran on buffers of its own."""
+    return DistributionField(grid, values) if work is None else _StepField(grid, values)
+
+
+def advect_theta(f, dt, interpolation=LINEAR, work=None):
     """Transport f along theta by v*dt with periodic interpolation.
 
     Each v row shifts rigidly at its own speed.  The interpolated row is
     rescaled to its original sum, so mass is conserved row by row up to
     rounding; linear weights keep the result nonnegative and cubic
-    clipping is absorbed by the same rescale.
+    clipping is absorbed by the same rescale.  With evolve's workspace the
+    result is a view of its half buffer; without one the same kernel runs
+    on fresh buffers and returns a DistributionField.
     """
     grid = f.grid
-    n_v = grid.n_v
-    values = f.values
-    index, u = _theta_stencil(grid, dt)
-    # wrapped row r is values row (r - 1) mod n_theta, so stencil node k
-    # of the lower node lies k + 1 rows into it: one index serves all nodes
-    wrapped = np.concatenate((values[-1:], values, values[:2])).ravel()
-    out = _interpolate(lambda k: wrapped[n_v * (k + 1):].take(index),
-                       u, interpolation)
+    n_theta, n_v = grid.n_theta, grid.n_v
+    ws = _Workspace(grid) if work is None else work
+    index, stencils = _theta_stencil(grid, dt)
+    values = ws.state
+    if f.values is not values:
+        values[...] = f.values
+    wrapped = ws.wrapped
+    wrapped[0] = wrapped[n_theta]
+    wrapped[n_theta + 1:] = wrapped[1:3]
+    flat = wrapped.ravel()
+    out = _interpolate(
+        lambda k, buf: flat[n_v * (k + 1):].take(index, out=buf, mode="clip"),
+        stencils[interpolation], ws.half, ws.product)
     if interpolation != LINEAR:
         np.maximum(out, 0.0, out=out)
         old = values.sum(axis=0)
         new = out.sum(axis=0)
         scale = np.where(new > 0.0, old / np.where(new > 0.0, new, 1.0), 1.0)
         out *= scale[None, :]
-    return DistributionField(grid, out)
+    return _result(work, grid, out)
 
 
-def advect_v(f, phi_prime, dt, interpolation=LINEAR):
+def advect_v(f, phi_prime, dt, interpolation=LINEAR, work=None):
     """Transport f along v by the force -phi' over time dt.
 
     The departure velocity of node j in column i is v_j + phi'_i dt;
     values beyond the velocity box count as zero, so mass drains through
-    the open ends.  Returns the new field together with StepLosses.
+    the open ends.  Returns the new field together with StepLosses; with
+    evolve's workspace the field is a view of its state rows, without one
+    a DistributionField built from fresh buffers.
     """
     grid = f.grid
     n_v = grid.n_v
@@ -151,41 +218,51 @@ def advect_v(f, phi_prime, dt, interpolation=LINEAR):
     if not np.all(np.isfinite(s)):
         raise ValueError("force is not finite")
     base, u = _split_shift(s)
+    ws = _Workspace(grid) if work is None else work
 
     # A row shifted by more than n_v + 2 cells reads only zeros either
-    # way, so clipping base bounds the padding.  pad zero guard cells per
-    # side keep every window of stencil node k (k in -1..2) inside the row.
+    # way, so clipping base bounds the padding.  At least pad zero guard
+    # cells per side keep every window of stencil node k (k in -1..2)
+    # inside the row; only the middle n_v columns are ever written.
     np.clip(base, -(n_v + 2), n_v + 2, out=base)
     pad = int(np.abs(base).max()) + 2
-    padded = np.zeros((grid.n_theta, n_v + 2 * pad))
-    padded[:, pad:pad + n_v] = values
-    windows = sliding_window_view(padded, n_v, axis=1)
+    if ws.padded.shape[1] < n_v + 2 * pad:
+        ws.padded = np.zeros((grid.n_theta, n_v + 2 * pad))
+    pad = (ws.padded.shape[1] - n_v) // 2
+    ws.padded[:, pad:pad + n_v] = values
+    total = values.sum()
+    windows = sliding_window_view(ws.padded, n_v, axis=1)
     rows = np.arange(grid.n_theta)
     start = base + pad
 
-    def take(k):
+    def take(k, buf):
         return windows[rows, start + k]
 
-    out = _interpolate(take, u[:, None], interpolation)
+    out = _interpolate(take, _weights(u[:, None], interpolation), ws.state,
+                       ws.product)
     clipped = 0.0
     if interpolation != LINEAR:
-        negative = np.minimum(out, 0.0)
+        negative = np.minimum(out, 0.0, out=ws.product)
         clipped = -float(negative.sum()) * grid.cell_area + 0.0
         np.maximum(out, 0.0, out=out)
-    outflow = float(values.sum() - out.sum()) * grid.cell_area + clipped
-    return DistributionField(grid, out), StepLosses(outflow, clipped)
+    outflow = float(total - out.sum()) * grid.cell_area + clipped
+    return _result(work, grid, out), StepLosses(outflow, clipped)
 
 
-def strang_step(f, dt, interpolation=LINEAR):
+def strang_step(f, dt, interpolation=LINEAR, work=None):
     """One split step: half theta, field solve, full v, half theta.
 
     Evaluating the force at the temporal midpoint makes the composition
-    second order in dt on smooth data.  Returns (field, StepLosses).
+    second order in dt on smooth data.  Returns (field, StepLosses); the
+    field is a view into evolve's workspace when one is given, else a
+    DistributionField.
     """
-    half = advect_theta(f, 0.5 * dt, interpolation)
+    ws = _Workspace(f.grid) if work is None else work
+    half = advect_theta(f, 0.5 * dt, interpolation, ws)
     potential = solve_potential(half)
-    kicked, losses = advect_v(half, potential.derivative, dt, interpolation)
-    return advect_theta(kicked, 0.5 * dt, interpolation), losses
+    kicked, losses = advect_v(half, potential.derivative, dt, interpolation, ws)
+    out = advect_theta(kicked, 0.5 * dt, interpolation, ws)
+    return _result(work, f.grid, out.values), losses
 
 
 def evolve(f0, config, observer=None, t_start=0.0):
@@ -204,25 +281,44 @@ def evolve(f0, config, observer=None, t_start=0.0):
     failed measurement) becomes SolverAbort("aborted at step k: ...").
     Other exceptions, such as an OSError from a snapshot write, pass
     through unwrapped.
+
+    The state is stepped in place in one workspace.  A DistributionField
+    is built only where a caller can keep one: for each observer call
+    after step 0 (step 0 passes f0 itself) and for the result, which is
+    the last observed field when the last step was observed.
     """
     steps = int(round(config.t_end / config.dt))
+    grid = f0.grid
     m0 = mass(f0)
-    f = f0
+    work = _Workspace(grid)
+    state = kept = f0
     outflow = clipped_mass = 0.0
     for k in range(steps + 1):
         try:
             if k > 0:
-                f, losses = strang_step(f, config.dt, config.interpolation)
+                # the observer is done with the last record; dropping it
+                # here frees its memory before the step
+                kept = None
+                state, losses = strang_step(state, config.dt,
+                                            config.interpolation, work)
                 outflow += losses.outflow
                 clipped_mass += losses.clipped_mass
-                m = mass(f)
+                m = mass(state)
                 if m0 > 0.0 and abs(m - m0) > 1e-13 * m0:
                     if m == 0.0:
                         raise ValueError("all mass left the velocity box")
-                    f = DistributionField(f.grid, f.values * (m0 / m))
+                    # a non-finite state has mass inf or NaN; its NaN
+                    # products are left for the check below to report
+                    with np.errstate(invalid="ignore"):
+                        np.multiply(state.values, m0 / m, out=state.values)
+                _check_values(state.values, "field", nonnegative=True)
             if observer is not None and k % config.record_every == 0:
-                observer(t_start + k * config.dt, f)
+                if kept is None:
+                    kept = DistributionField(grid, state.values)
+                observer(t_start + k * config.dt, kept)
         except (ValueError, ArithmeticError) as exc:
             raise SolverAbort("aborted at step %d: %s" % (k, exc)) from exc
-    return EvolveResult(f, t_start + steps * config.dt, steps,
+    if kept is None:
+        kept = DistributionField(grid, state.values)
+    return EvolveResult(kept, t_start + steps * config.dt, steps,
                         outflow, clipped_mass)

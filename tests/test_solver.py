@@ -17,8 +17,9 @@ from hmfp.grid import (
     weighted_l1_distance,
 )
 from hmfp.solver import (
+    CUBIC,
+    LINEAR,
     SolverConfig,
-    _interpolate,
     _split_shift,
     _theta_stencil,
     advect_theta,
@@ -28,7 +29,7 @@ from hmfp.solver import (
 )
 from hmfp.steady import ConstraintSet, self_consistent_solve
 
-from conftest import default_grid, drain_field
+from conftest import default_grid, drain_field, smooth_random_field
 
 
 def wavy_gaussian(grid):
@@ -64,6 +65,17 @@ steps = st.floats(1e-9, 0.5)
 modes = st.sampled_from(["linear", "cubic"])
 
 
+def reference_interpolate(take, u, interpolation):
+    """The stencil sum as one expression of fresh temporaries."""
+    if interpolation == "linear":
+        return (1.0 - u) * take(0) + u * take(1)
+    wm1 = -u * (u - 1.0) * (u - 2.0) / 6.0
+    w0 = (u + 1.0) * (u - 1.0) * (u - 2.0) / 2.0
+    w1 = -(u + 1.0) * u * (u - 2.0) / 2.0
+    w2 = (u + 1.0) * u * (u - 1.0) / 6.0
+    return wm1 * take(-1) + w0 * take(0) + w1 * take(1) + w2 * take(2)
+
+
 def reference_advect_theta(f, dt, interpolation):
     """advect_theta through a modulo fancy index for every stencil node."""
     grid = f.grid
@@ -72,7 +84,8 @@ def reference_advect_theta(f, dt, interpolation):
     base, u = _split_shift(-grid.v * dt / grid.d_theta)
     lower = (np.arange(n)[:, None] + base[None, :]) % n
     cols = np.arange(grid.n_v)[None, :]
-    out = _interpolate(lambda k: values[(lower + k) % n, cols], u, interpolation)
+    out = reference_interpolate(lambda k: values[(lower + k) % n, cols], u,
+                                interpolation)
     if interpolation != "linear":
         np.maximum(out, 0.0, out=out)
         old = values.sum(axis=0)
@@ -95,7 +108,7 @@ def reference_advect_v(f, phi_prime, dt, interpolation):
     def take(k):
         return np.take_along_axis(padded, np.clip(cols + k, 0, n_v + 3), axis=1)
 
-    out = _interpolate(take, u[:, None], interpolation)
+    out = reference_interpolate(take, u[:, None], interpolation)
     clipped = 0.0
     if interpolation != "linear":
         clipped = -float(np.minimum(out, 0.0).sum()) * grid.cell_area + 0.0
@@ -213,12 +226,22 @@ def test_advections_match_the_reference_gathers_bitwise(data, f, dt, mode):
 def test_theta_stencil_is_built_once_per_grid_and_dt():
     advect_theta(wavy_gaussian(make_grid(24, 16, 3.0)), 0.123)
     before = _theta_stencil.cache_info()
-    index, u = _theta_stencil(make_grid(24, 16, 3.0), 0.123)
+    index, stencils = _theta_stencil(make_grid(24, 16, 3.0), 0.123)
     after = _theta_stencil.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     again = _theta_stencil(make_grid(24, 16, 3.0), 0.123)
-    assert again[0] is index and again[1] is u
-    assert not index.flags.writeable and not u.flags.writeable
+    assert again[0] is index and again[1] is stencils
+    assert not index.flags.writeable
+    # u and 1 - u, then the four cubic weights, each shared and read-only
+    assert [k for k, _ in stencils[LINEAR]] == [0, 1]
+    assert [k for k, _ in stencils[CUBIC]] == [-1, 0, 1, 2]
+    for mode in (LINEAR, CUBIC):
+        for (_, weight), (_, shared) in zip(stencils[mode], again[1][mode]):
+            assert weight is shared
+            assert weight.shape == (16,)
+            assert not weight.flags.writeable
+    u = stencils[LINEAR][1][1]
+    assert np.array_equal(stencils[LINEAR][0][1], 1.0 - u)
 
 
 def test_cubic_clipping_is_reported():
@@ -431,3 +454,97 @@ def test_evolve_totals_sum_the_step_losses():
     assert outflow > 0.0 and clipped > 0.0
     assert res.boundary_loss == outflow
     assert res.clipped_mass == clipped
+
+
+def field_path_evolve(f0, config):
+    """evolve as a loop of DistributionField-in, DistributionField-out
+    strang_step calls and evolve's mass renormalization rule; returns the
+    final field, the (time, field) records, and the two tallies."""
+    steps = int(round(config.t_end / config.dt))
+    m0 = mass(f0)
+    f = f0
+    records = [(0.0, f0)]
+    outflow = clipped = 0.0
+    for k in range(1, steps + 1):
+        f, losses = strang_step(f, config.dt, config.interpolation)
+        outflow += losses.outflow
+        clipped += losses.clipped_mass
+        m = mass(f)
+        if m0 > 0.0 and abs(m - m0) > 1e-13 * m0:
+            f = DistributionField(f.grid, f.values * (m0 / m))
+        if k % config.record_every == 0:
+            records.append((k * config.dt, f))
+    return f, records, outflow, clipped
+
+
+def assert_evolve_matches_the_field_path(f0, config):
+    observed = []
+
+    def observer(t, fld):
+        observed.append((t, fld, fld.values.tobytes()))
+
+    res = evolve(f0, config, observer)
+    field, records, outflow, clipped = field_path_evolve(f0, config)
+    assert res.field.values.tobytes() == field.values.tobytes()
+    assert res.boundary_loss == outflow
+    assert res.clipped_mass == clipped
+    assert [t for t, _, _ in observed] == [t for t, _ in records]
+    for (_, fld, seen), (_, ref) in zip(observed, records):
+        # what the observer saw is what it still holds, frozen
+        assert fld.values.tobytes() == seen == ref.values.tobytes()
+        assert not fld.values.flags.writeable
+    arrays = [fld.values for _, fld, _ in observed] + [res.field.values]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert a is b or not np.shares_memory(a, b)
+    return res
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_theta=st.integers(8, 21), n_v=st.integers(8, 21),
+       v_max=st.floats(1.0, 6.0), dt=st.floats(0.01, 0.5), steps=st.integers(0, 6),
+       record_every=st.integers(1, 3), mode=modes, seed=st.integers(0, 2 ** 32 - 1))
+def test_evolve_matches_field_path_steps_bitwise(n_theta, n_v, v_max, dt, steps,
+                                                 record_every, mode, seed):
+    f0 = smooth_random_field(make_grid(n_theta, n_v, v_max), seed)
+    config = SolverConfig(dt=dt, t_end=steps * dt, interpolation=mode,
+                          record_every=record_every)
+    assert_evolve_matches_the_field_path(f0, config)
+
+
+@pytest.mark.parametrize("n_theta, n_v", [(32, 32), (33, 31), (31, 34)])
+def test_evolve_matches_field_path_steps_with_both_tallies(n_theta, n_v):
+    # a narrow velocity box, so mass leaves it and cubic clipping bites
+    f0 = wavy_gaussian(make_grid(n_theta, n_v, 2.5))
+    res = assert_evolve_matches_the_field_path(
+        f0, SolverConfig(dt=0.2, t_end=1.0, interpolation="cubic", record_every=2))
+    assert res.boundary_loss > 0.0 and res.clipped_mass > 0.0
+
+
+@pytest.mark.parametrize("steps, record_every", [
+    (0, None), (7, None), (0, 1), (5, 1), (6, 3), (7, 3)])
+def test_evolve_builds_fields_only_for_its_callers(monkeypatch, steps, record_every):
+    """One DistributionField per observer call after step 0 and one for
+    the result, unless the result is the last observed field."""
+    builds = []
+    post_init = DistributionField.__post_init__
+
+    def counting(self):
+        builds.append(self)
+        post_init(self)
+
+    f0 = wavy_gaussian(default_grid(16))
+    seen = []
+    observer = None if record_every is None else lambda t, fld: seen.append(fld)
+    config = SolverConfig(dt=0.1, t_end=0.1 * steps, record_every=record_every or 1)
+    monkeypatch.setattr(DistributionField, "__post_init__", counting)
+    res = evolve(f0, config, observer)
+    monkeypatch.undo()
+    if record_every is None:
+        assert len(builds) == min(steps, 1)
+        assert (res.field is f0) == (steps == 0)
+        return
+    assert seen[0] is f0
+    assert builds == seen[1:] + ([] if steps % record_every == 0 else [res.field])
+    if steps % record_every == 0:
+        assert res.field is seen[-1]
