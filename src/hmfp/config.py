@@ -9,7 +9,7 @@ snapshot, names each run's output directory (ExperimentConfig.run_key).
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .casimir import POWER, parse_casimir
 from .errors import ConfigError
@@ -30,61 +30,46 @@ def _parse_bool(text):
     raise ValueError("expected true or false, got %r" % text)
 
 
-# key -> (attribute, parser).  The defaults live on ExperimentConfig.
-_KEYS = {
-    "grid.n_theta": ("n_theta", int),
-    "grid.n_v": ("n_v", int),
-    "grid.v_max": ("v_max", float),
-    "casimir": ("casimir", str),
-    "constraints.m1": ("m1", float),
-    "constraints.mj": ("mj", float),
-    "solver.damping": ("damping", float),
-    "solver.tol": ("tol", float),
-    "solver.max_iter": ("max_iter", int),
-    "seed.amplitude": ("seed_amplitude", float),
-    "solver.dt": ("dt", float),
-    "solver.t_end": ("t_end", float),
-    "solver.interpolation": ("interpolation", str),
-    "solver.record_every": ("record_every", int),
-    "solver.snapshot_every": ("snapshot_every", int),
-    "perturbation.kind": ("kind", str),
-    "perturbation.amplitude": ("amplitude", float),
-    "perturbation.seed": ("seed", int),
-    "perturbation.renormalize": ("renormalize", _parse_bool),
-    "rearrange.phi": ("phi_source", str),
-    "output.dir": ("output_dir", str),
-}
+def _key(name, default):
+    """A dataclass field read from config key `name`, with its default."""
+    return field(default=default, metadata={"key": name})
+
+
+# annotation -> parser of a key's raw string value; an annotation missing
+# here (a new type, or a string under postponed evaluation) fails at import
+_PARSERS = {int: int, float: float, float | None: float, str: str,
+            bool: _parse_bool}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved configuration with every key at its final value.
 
-    A default of None means the key may stay unset; commands that need it
-    complain by name.
+    Each field names its config key.  A default of None means the key may
+    stay unset; commands that need it complain by name.
     """
 
-    n_theta: int = 128
-    n_v: int = 128
-    v_max: float = 6.0
-    casimir: str = "entropy"
-    m1: float | None = None
-    mj: float | None = None
-    damping: float = 0.5
-    tol: float = 1e-9
-    max_iter: int = 10000
-    seed_amplitude: float = 0.0
-    dt: float = 0.05
-    t_end: float = 10.0
-    interpolation: str = "linear"
-    record_every: int = 1
-    snapshot_every: int = 0
-    kind: str = "density_bump"
-    amplitude: float = 0.0
-    seed: int = 0
-    renormalize: bool = False
-    phi_source: str = "self"
-    output_dir: str = "runs"
+    n_theta: int = _key("grid.n_theta", 128)
+    n_v: int = _key("grid.n_v", 128)
+    v_max: float = _key("grid.v_max", 6.0)
+    casimir: str = _key("casimir", "entropy")
+    m1: float | None = _key("constraints.m1", None)
+    mj: float | None = _key("constraints.mj", None)
+    damping: float = _key("solver.damping", 0.5)
+    tol: float = _key("solver.tol", 1e-9)
+    max_iter: int = _key("solver.max_iter", 10000)
+    seed_amplitude: float = _key("seed.amplitude", 0.0)
+    dt: float = _key("solver.dt", 0.05)
+    t_end: float = _key("solver.t_end", 10.0)
+    interpolation: str = _key("solver.interpolation", "linear")
+    record_every: int = _key("solver.record_every", 1)
+    snapshot_every: int = _key("solver.snapshot_every", 0)
+    kind: str = _key("perturbation.kind", "density_bump")
+    amplitude: float = _key("perturbation.amplitude", 0.0)
+    seed: int = _key("perturbation.seed", 0)
+    renormalize: bool = _key("perturbation.renormalize", False)
+    phi_source: str = _key("rearrange.phi", "self")
+    output_dir: str = _key("output.dir", "runs")
 
     def __post_init__(self):
         try:
@@ -168,6 +153,11 @@ class ExperimentConfig:
             raise ConfigError("unknown key %r" % key)
         attr, value = _parse_value(key, raw_value)
         return replace(self, **{attr: value})
+
+
+# key -> (attribute, parser), in field order
+_KEYS = {f.metadata["key"]: (f.name, _PARSERS[f.type])
+         for f in fields(ExperimentConfig)}
 
 
 def _parse_value(key, raw_value):

@@ -28,7 +28,16 @@ from .rearrange import (equimeasurability_defect, level_band_defect,
 from .solver import advect_v, evolve
 from .steady import renormalize_to_constraints, self_consistent_solve
 
+COMMANDS = ("steady", "evolve", "stability", "rearrange", "diag")
+
 STABILITY_HEADER = "t,orbital_distance,shift,mass,hamiltonian,casimir"
+
+# Relative miss of a steady state's grid mass against constraints.m1 above
+# which run_steady warns.  The multipliers meet the constraint over the whole
+# velocity line, so a coarse or narrow velocity grid loses mass: a flat
+# power:2 state at m1 = 3 and v_max = 6 misses by 0.11 at 16^2 and by
+# 3.5e-3 at 64^2.
+_MASS_MISS_WARN = 1e-2
 
 
 def input_digest(input_path):
@@ -103,29 +112,37 @@ def _ground_state(cfg, spec):
 def run_steady(cfg):
     """Construct the configured ground state; write snapshot and report.
 
-    Returns (run_dir, SteadyStateResult).
+    Returns the summary line and, when the grid mass misses constraints.m1
+    by more than _MASS_MISS_WARN of it, a warning line (else None).
     """
     spec = cfg.casimir_spec()
     result = _ground_state(cfg, spec)
     out = run_directory(cfg, "steady")
     f, mult = result.field, result.multipliers
+    grid_mass = mass(f)
     save_snapshot(f, 0.0, os.path.join(out, "state.snap"))
     _write_text(os.path.join(out, "report.txt"), key_value_text([
         ("lambda", mult.lam), ("mu", mult.mu),
         ("residual", result.fixed_point_residual),
         ("iterations", result.iterations),
         ("constraint_m1", cfg.m1), ("constraint_mj", cfg.mj),
-        ("mass", mass(f)), ("casimir", casimir_integral(f, spec)),
+        ("mass", grid_mass), ("casimir", casimir_integral(f, spec)),
         ("hamiltonian", hamiltonian(f)), ("free_energy", free_energy_J(f, spec)),
     ]))
-    return out, result
+    line = ("%s: lambda = %.10g, residual = %.3e, %d iterations"
+            % (out, mult.lam, result.fixed_point_residual, result.iterations))
+    if abs(grid_mass - cfg.m1) <= _MASS_MISS_WARN * cfg.m1:
+        return line, None
+    return line, ("hmfp: warning: %s: grid mass %.6g misses constraints.m1 = "
+                  "%.6g; try a finer grid.n_v or a different grid.v_max"
+                  % (out, grid_mass, cfg.m1))
 
 
 def run_evolve(cfg, input_path):
     """Evolve a snapshot under the configured solver.
 
     Writes diagnostics.csv, the final snapshot, and optionally a snapshot
-    every solver.snapshot_every records.  Returns (run_dir, EvolveResult).
+    every solver.snapshot_every records.  Returns the summary line.
     """
     field, t0 = _require_input(input_path)
     spec = cfg.casimir_spec()
@@ -142,7 +159,8 @@ def run_evolve(cfg, input_path):
     result = evolve(field, cfg.solver_config(), observer, t0)
     write_diagnostics_csv(records, os.path.join(out, "diagnostics.csv"))
     save_snapshot(result.field, result.time, os.path.join(out, "final.snap"))
-    return out, result
+    return ("%s: %d steps to t = %.6g, boundary loss %.3e"
+            % (out, result.steps, result.time, result.boundary_loss))
 
 
 def run_stability(cfg, input_path=None):
@@ -151,7 +169,7 @@ def run_stability(cfg, input_path=None):
     The base state comes from --input when given and is otherwise
     constructed in-run from the constraint keys.  Writes stability.csv with
     one row per record and summary.txt with the sup of the distance.
-    Returns (run_dir, sup_distance).
+    Returns the summary line.
     """
     spec = cfg.casimir_spec()
     if input_path is not None:
@@ -182,7 +200,7 @@ def run_stability(cfg, input_path=None):
     _write_text(os.path.join(out, "summary.txt"), key_value_text([
         ("sup_orbital_distance", sup), ("amplitude", cfg.amplitude),
     ]))
-    return out, sup
+    return "%s: sup orbital distance = %.10g" % (out, sup)
 
 
 def run_rearrange(cfg, input_path):
@@ -191,7 +209,7 @@ def run_rearrange(cfg, input_path):
     The potential is the snapshot's own self-consistent field, or zero
     when rearrange.phi = zero.  Writes the rearranged snapshot and a
     report with the raw and band-tolerant equimeasurability defects.
-    Returns (run_dir, banded defect).
+    Returns the summary line.
     """
     field, t0 = _require_input(input_path)
     grid = field.grid
@@ -210,14 +228,15 @@ def run_rearrange(cfg, input_path):
         ("sup_level_defect", raw), ("banded_defect", banded),
         ("mass_in", mass(field)), ("mass_out", mass(rearranged)),
     ]))
-    return out, banded
+    return "%s: banded equimeasurability defect = %.10g" % (out, banded)
 
 
 def run_diag(cfg, input_path):
-    """Write and return the diagnostics of a snapshot as one CSV row."""
+    """Write the diagnostics of a snapshot as one CSV row; return the
+    summary line, which ends in that row."""
     field, t0 = _require_input(input_path)
     spec = cfg.casimir_spec()
     rec = diagnostics(field, spec, t0)
     out = run_directory(cfg, "diag", input_path)
     write_diagnostics_csv([rec], os.path.join(out, "diag.csv"))
-    return out, rec
+    return "%s: %s" % (out, rec.to_csv())

@@ -543,9 +543,17 @@ def renormalize_to_constraints(
         if spec.family != POWER:
             raise ValueError("the two-constraint renormalization needs the power family")
         target = constraints.mj * total / constraints.m1
-        j_norm = float(spec.j(g.values).sum()) * grid.cell_area
+        # j = t**p underflows to 0 on tiny fields and overflows on huge ones
+        with np.errstate(over="ignore"):
+            j_norm = float(spec.j(g.values).sum()) * grid.cell_area
+        if not 0.0 < j_norm < math.inf:
+            raise ValueError("the casimir integral of the field is %.6g, "
+                             "not finite and positive" % j_norm)
         # ||j(gamma g)|| / gamma = gamma**(p-1) ||j(g)|| for j = t**p
-        gamma = (target / j_norm) ** (1.0 / (spec.p - 1.0))
+        try:
+            gamma = (target / j_norm) ** (1.0 / (spec.p - 1.0))
+        except OverflowError as exc:
+            raise ValueError("the amplitude factor overflows") from exc
     stretch = gamma / lam
     resampled = np.empty_like(g.values)
     sample_at = stretch * grid.v

@@ -400,6 +400,23 @@ def test_stability_csv_layout(tmp_path, monkeypatch):
         float(line.split(",")[1])
 
 
+@pytest.mark.parametrize("amplitude", [0.5, 1.5])
+def test_random_noise_is_seeded_and_bounded(amplitude):
+    base = gaussian_field()
+    noisy = perturb(base, "random_noise", amplitude, 7)
+    again = perturb(base, "random_noise", amplitude, 7)
+    other = perturb(base, "random_noise", amplitude, 8)
+    assert noisy.values.tobytes() == again.values.tobytes()
+    assert not np.array_equal(noisy.values, other.values)
+    # 1 +- amplitude are exact here, so the bounds hold without slack
+    f = base.values
+    assert np.all(noisy.values >= np.maximum(1.0 - amplitude, 0.0) * f)
+    assert np.all(noisy.values <= (1.0 + amplitude) * f)
+    # above 1 the negative factors clip to zero
+    assert noisy.values.min() >= 0.0
+    assert (noisy.values == 0.0).any() == (amplitude > 1.0)
+
+
 # ---------------------------------------------------------------------------
 # inputs whose mass cannot be kept
 
@@ -412,7 +429,16 @@ def gaussian_field():
     return maxwellian(make_grid(16, 16, 6.0), 1.0)
 
 
+def subnormal_field():
+    return DistributionField(make_grid(16, 16, 6.0), np.full((16, 16), 5e-324))
+
+
+def huge_field():
+    return DistributionField(make_grid(16, 16, 6.0), np.full((16, 16), 1e300))
+
+
 RENORMALIZE = "perturbation.renormalize = true\n"
+POWER2_PAIR = "casimir = power:2\nconstraints.m1 = 3\nconstraints.mj = 1\n"
 
 
 @pytest.mark.parametrize("command, make_input, keys, code, message", [
@@ -424,6 +450,16 @@ RENORMALIZE = "perturbation.renormalize = true\n"
      "perturbation.renormalize: cannot renormalize the zero field"),
     ("stability", gaussian_field, RENORMALIZE + "constraints.m1 = 1e-9\n", 1,
      "perturbation.renormalize: renormalization dilated all mass out of the grid"),
+    # j = t**2 underflows to 0 in every cell
+    ("stability", subnormal_field, RENORMALIZE + POWER2_PAIR, 1,
+     "perturbation.renormalize: the casimir integral of the field is 0,"),
+    # j = t**2 overflows in every cell
+    ("stability", huge_field, RENORMALIZE + POWER2_PAIR, 1,
+     "perturbation.renormalize: the casimir integral of the field is inf,"),
+    # gamma = (mj / m1 ...)**100 overflows
+    ("stability", gaussian_field, RENORMALIZE + "casimir = power:1.01\n"
+     "constraints.m1 = 1\nconstraints.mj = 1e6\n", 1,
+     "perturbation.renormalize: the amplitude factor overflows"),
 ])
 def test_unkeepable_mass_exits_with_one_line(tmp_path, monkeypatch, capsys,
                                              command, make_input, keys, code,
@@ -595,11 +631,30 @@ def test_bad_thread_cap_exits_one(tmp_path, monkeypatch, capsys):
 
 def test_argument_parser_surface(capsys):
     assert main(["--help"]) == 0
-    capsys.readouterr()
-    assert main([]) == 1
-    assert main(["simulate", "--config", "x.cfg"]) == 1
-    assert main(["steady"]) == 1
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    assert all(command in out for command in
+               ("steady", "evolve", "stability", "rearrange", "diag"))
+    for argv in ([], ["simulate", "--config", "x.cfg"], ["steady"],
+                 ["--config", "x.cfg"], ["diag", "--config", "x.cfg", "extra"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hmfp: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["load_config", "run_steady"])
+def test_out_of_memory_exits_one(tmp_path, monkeypatch, capsys, name):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with "
+                          "shape (10000000000,) and data type float64")
+
+    monkeypatch.setattr(hmfp.cli, name, exhausted)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, "grid.n_theta = 16\ngrid.n_v = 16\n"
+                              "constraints.m1 = 3.0\n")
+    assert main(["steady", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("hmfp: out of memory: Unable to allocate 74.5 GiB")
 
 
 def diag_twice(tmp_path):

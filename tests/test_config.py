@@ -1,10 +1,11 @@
 """Flat key = value config parsing, validation, and hashing."""
 
 import math
+from pathlib import Path
 
 import pytest
 
-from hmfp.config import ExperimentConfig, load_config, parse_config
+from hmfp.config import _KEYS, ExperimentConfig, load_config, parse_config
 from hmfp.errors import ConfigError
 
 
@@ -146,3 +147,23 @@ def test_load_config_reads_a_file(tmp_path):
 def test_default_config_is_constructible_directly():
     cfg = ExperimentConfig()
     assert cfg.run_key("steady", None) == parse_config("").run_key("steady", None)
+
+
+def test_readme_config_block_matches_the_config():
+    """README's key table is the one copy of the keys that is written by hand."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = [b for b in readme.split("```")[1::2] if "output.dir = " in b]
+    defaults = ExperimentConfig()
+    keys = []
+    for line in block.splitlines():
+        key, sep, value = line.split("#", 1)[0].partition("=")
+        if not sep:
+            continue
+        key, value = key.strip(), value.strip()
+        keys.append(key)
+        # <...> stands for a key without a default
+        if not value.startswith("<"):
+            attr = _KEYS[key][0]
+            parsed = getattr(parse_config("%s = %s\n" % (key, value)), attr)
+            assert parsed == getattr(defaults, attr), key
+    assert sorted(keys) == sorted(_KEYS)

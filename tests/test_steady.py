@@ -672,23 +672,24 @@ def test_ode_defect_improves_under_refinement():
 
 
 def test_ode_energy_is_conserved_along_the_march():
-    spec = entropy_spec()
     m1 = 4.0 * math.pi
-    psi_min = 2.2666
-    drifts = []
-    for n in (128, 256):
-        g = make_grid(n, 16, 6.0)
-        r = ode_profile_solve(g, spec, m1, psi_min, theta_anchor=math.pi)
-        anchor = int(round(math.pi / g.d_theta)) % n
-        offset = psi_min - r.potential.values[anchor]
-        psi = r.potential.values + offset
-        energy = 0.5 * r.potential.derivative ** 2 - ode_force_primitive(
-            spec, m1, psi
-        )
-        drifts.append(float(np.max(np.abs(energy - energy[0]))))
-    assert drifts[0] <= 1e-5
-    # fourth-order integrator: halving the step cuts the drift ~16x
-    assert drifts[1] <= drifts[0] / 8.0
+    # power:2 balances its background at psi = -1.651; starting half a unit
+    # below keeps the orbit under psi = -1.12, on the power branch
+    for spec, psi_min in ((entropy_spec(), 2.2666), (power_spec(2.0), -2.151)):
+        drifts = []
+        for n in (128, 256):
+            g = make_grid(n, 16, 6.0)
+            r = ode_profile_solve(g, spec, m1, psi_min, theta_anchor=math.pi)
+            anchor = int(round(math.pi / g.d_theta)) % n
+            offset = psi_min - r.potential.values[anchor]
+            psi = r.potential.values + offset
+            energy = 0.5 * r.potential.derivative ** 2 - ode_force_primitive(
+                spec, m1, psi
+            )
+            drifts.append(float(np.max(np.abs(energy - energy[0]))))
+        assert drifts[0] <= 1e-5
+        # fourth-order integrator: halving the step cuts the drift ~16x
+        assert drifts[1] <= drifts[0] / 8.0
 
 
 def test_ode_blowup_raises():
