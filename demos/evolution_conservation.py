@@ -10,8 +10,8 @@ second-order convergence of the composition.
 import numpy as np
 
 from hmfp.casimir import entropy_spec
-from hmfp.functionals import diagnostics
-from hmfp.grid import field_from_function, make_grid, weighted_l1_distance
+from hmfp.functionals import diagnostics, weighted_l1_distance
+from hmfp.grid import field_from_function, make_grid
 from hmfp.solver import SolverConfig, evolve
 
 spec = entropy_spec()

@@ -12,13 +12,12 @@ import math
 
 import numpy as np
 
-from hmfp.functionals import hamiltonian, mass
+from hmfp.functionals import hamiltonian, mass, microscopic_energy_pairing
 from hmfp.grid import DistributionField, Potential, make_grid
 from hmfp.interaction import solve_potential
 from hmfp.rearrange import (convex_B, distribution_function,
                             equimeasurability_defect, inverse_sublevel_measure,
                             level_band_defect, level_grid,
-                            microscopic_energy_pairing,
                             profile_pairing_integral, pseudo_inverse,
                             rearrange_with_energy, rearranged_energy_integral,
                             sublevel_measure_a)

@@ -1,10 +1,10 @@
 """Conserved and variational scalars of the kinetic flow.
 
-Mass, momentum, kinetic and field energies, Casimir integrals, the free
-energy, the shift-minimized weighted L1 distance used by the stability
-experiments, and the Csiszar-Kullback pair.  Everything is a pure midpoint
-quadrature over a DistributionField; the potential enters only through its
-derivative samples, so the sign convention
+The one module that integrates a field over (theta, v): mass, momentum,
+kinetic and field energies, Casimir integrals, the free energy, the
+microscopic-energy pairing, the weighted L1 distance and its shift-
+minimized form, and the Csiszar-Kullback pair.  All are midpoint sums;
+the field energy reads only the potential's derivative samples, so
 
     hamiltonian = kinetic - potential_energy
 
@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .casimir import CasimirSpec
 from .grid import DistributionField, Potential, _atomic_write
-from .interaction import solve_potential
+from .interaction import density, solve_potential
 
 
 def mass(f: DistributionField) -> float:
@@ -62,9 +62,23 @@ def casimir_integral(f: DistributionField, spec: CasimirSpec) -> float:
     return float(spec.j(f.values).sum()) * f.grid.cell_area
 
 
+def microscopic_energy_pairing(f: DistributionField, phi: Potential) -> float:
+    """Integral of (v**2/2 + phi) f: the kinetic energy plus the pairing of
+    phi with the density of f."""
+    return kinetic_energy(f) + float(phi.values @ density(f).values) * f.grid.d_theta
+
+
 def free_energy_J(f: DistributionField, spec: CasimirSpec) -> float:
     """Hamiltonian plus Casimir integral."""
     return hamiltonian(f) + casimir_integral(f, spec)
+
+
+def weighted_l1_distance(f: DistributionField, g: DistributionField) -> float:
+    """(1 + v^2)-weighted L1 distance between two fields on the same grid."""
+    if f.grid != g.grid:
+        raise ValueError("fields live on different grids")
+    w = 1.0 + f.grid.v ** 2
+    return float((np.abs(f.values - g.values) * w[np.newaxis, :]).sum()) * f.grid.cell_area
 
 
 def orbital_distance(
@@ -178,10 +192,11 @@ class DiagnosticsRecord:
     casimir: float
     l_infinity: float
 
-    CSV_HEADER = "time,mass,momentum,kinetic,potential_energy,hamiltonian,casimir,l_infinity"
-
     def to_csv(self) -> str:
         return ",".join(f"{getattr(self, f.name):.17g}" for f in fields(self))
+
+
+DiagnosticsRecord.CSV_HEADER = ",".join(f.name for f in fields(DiagnosticsRecord))
 
 
 def diagnostics(f: DistributionField, spec: CasimirSpec, time: float = 0.0) -> DiagnosticsRecord:

@@ -1,10 +1,10 @@
-"""Phase-space grid, field containers, quadrature and file I/O.
+"""Phase-space grid, field containers and file I/O.
 
 The domain is the flat torus in the angle theta times a truncated velocity
 line [-v_max, v_max].  Everything downstream (potential solves, steady-state
 construction, rearrangements, transport) works on the cell-centered samples
-held by these containers.  All phase-space integrals are midpoint sums, which
-are second order in d_v and exact for periodic trigonometric modes in theta.
+held by these containers.  Integrals over them (hmfp.functionals) are
+midpoint sums, second order in d_v, exact for trigonometric modes in theta.
 """
 
 from __future__ import annotations
@@ -144,14 +144,6 @@ class Potential:
 
     def __repr__(self) -> str:
         return f"Potential(grid={self.grid!r}, range={np.ptp(self.values):.6g})"
-
-
-def weighted_l1_distance(f: DistributionField, g: DistributionField) -> float:
-    """(1 + v^2)-weighted L1 distance between two fields on the same grid."""
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    w = 1.0 + f.grid.v ** 2
-    return float((np.abs(f.values - g.values) * w[np.newaxis, :]).sum()) * f.grid.cell_area
 
 
 # ---------------------------------------------------------------------------

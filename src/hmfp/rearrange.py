@@ -88,6 +88,11 @@ def level_grid(f: DistributionField, n_levels: int | None = None) -> np.ndarray:
     return np.unique(np.concatenate(([0.0, fmax], lin, low, high)))
 
 
+def _superlevel_measure(sorted_values, levels, area):
+    """Cell area times the count of sorted values strictly above each level."""
+    return (sorted_values.size - np.searchsorted(sorted_values, levels, side="right")) * area
+
+
 def distribution_function(f: DistributionField, levels) -> MonotoneProfile:
     """Measure of the strict superlevel sets of f at the given levels.
 
@@ -97,9 +102,8 @@ def distribution_function(f: DistributionField, levels) -> MonotoneProfile:
     levels = np.asarray(levels, dtype=float)
     if np.any(levels < 0.0):
         raise ValueError("levels must be nonnegative")
-    flat = np.sort(f.values.ravel())
-    counts = flat.size - np.searchsorted(flat, levels, side="right")
-    return MonotoneProfile(levels, counts * f.grid.cell_area)
+    mu = _superlevel_measure(np.sort(f.values.ravel()), levels, f.grid.cell_area)
+    return MonotoneProfile(levels, mu)
 
 
 def pseudo_inverse(mu: MonotoneProfile) -> MonotoneProfile:
@@ -189,14 +193,6 @@ def compose_profile(
     return DistributionField(grid, out.reshape(grid.n_theta, kinetic.size)[:, column])
 
 
-def microscopic_energy_pairing(f: DistributionField, phi: Potential) -> float:
-    """Grid quadrature of (v**2/2 + phi) f."""
-    g = f.grid
-    kin = 0.5 * float((f.values @ (g.v ** 2)).sum())
-    pot = float(phi.values @ f.values.sum(axis=1))
-    return (kin + pot) * g.cell_area
-
-
 def equimeasurability_defect(
     f: DistributionField, g: DistributionField, levels
 ) -> float:
@@ -251,9 +247,6 @@ def level_band_defect(
     # One cell band in measure: a boundary crossing every theta column.
     band = grid.n_theta * area
 
-    def measure(sorted_values, s):
-        return (n_cells - np.searchsorted(sorted_values, s, side="right")) * area
-
     def quantile(x):
         # Value of the k-th largest cell of f at measure depth x, zero past
         # the support.
@@ -262,12 +255,12 @@ def level_band_defect(
                        sorted_f[::-1][np.clip(k, 0, n_cells - 1)], 0.0)
         return out
 
-    mu_f = measure(sorted_f, levels)
-    mu_g = measure(sorted_g, levels)
+    mu_f = _superlevel_measure(sorted_f, levels, area)
+    mu_g = _superlevel_measure(sorted_g, levels, area)
     hi_level = np.maximum(quantile(np.maximum(mu_f - band, 0.0)), levels)
     lo_level = np.minimum(quantile(mu_f + band), levels)
-    upper = measure(sorted_f, lo_level)
-    lower = measure(sorted_f, hi_level)
+    upper = _superlevel_measure(sorted_f, lo_level, area)
+    lower = _superlevel_measure(sorted_f, hi_level, area)
     defect = np.maximum(mu_g - upper, lower - mu_g)
     return float(np.maximum(defect, 0.0).max())
 

@@ -71,11 +71,12 @@ class EvolveResult:
     clipped_mass: float
 
 
-def _split_shift(shift):
-    """Split real shifts into integer base and fraction in [0, 1)."""
+def _split_shift(shift, limit=np.inf):
+    """Split real shifts into an integer base, clipped to +-limit before
+    its cast, and a fraction in [0, 1) taken from the unclipped floor."""
     base = np.floor(shift)
     frac = shift - base
-    return base.astype(np.int64), frac
+    return np.clip(base, -limit, limit).astype(np.int64), frac
 
 
 def _weights(u, interpolation):
@@ -217,14 +218,13 @@ def advect_v(f, phi_prime, dt, interpolation=LINEAR, work=None):
     s = np.asarray(phi_prime, dtype=float) * dt / grid.d_v
     if not np.all(np.isfinite(s)):
         raise ValueError("force is not finite")
-    base, u = _split_shift(s)
-    ws = _Workspace(grid) if work is None else work
-
     # A row shifted by more than n_v + 2 cells reads only zeros either
-    # way, so clipping base bounds the padding.  At least pad zero guard
-    # cells per side keep every window of stencil node k (k in -1..2)
-    # inside the row; only the middle n_v columns are ever written.
-    np.clip(base, -(n_v + 2), n_v + 2, out=base)
+    # way, so clipping base, before its int cast, bounds the padding and
+    # keeps a huge finite shift castable.  At least pad zero guard cells
+    # per side keep every window of stencil node k (k in -1..2) inside
+    # the row; only the middle n_v columns are ever written.
+    base, u = _split_shift(s, n_v + 2)
+    ws = _Workspace(grid) if work is None else work
     pad = int(np.abs(base).max()) + 2
     if ws.padded.shape[1] < n_v + 2 * pad:
         ws.padded = np.zeros((grid.n_theta, n_v + 2 * pad))

@@ -34,9 +34,9 @@ import numpy as np
 
 from .casimir import ENTROPY, POWER, CasimirSpec
 from .errors import ConvergenceError, SolverAbort
-from .functionals import casimir_integral, kinetic_energy, potential_energy
+from .functionals import casimir_integral, mass, microscopic_energy_pairing, potential_energy
 from .grid import TWO_PI, DistributionField, PhaseGrid, Potential
-from .interaction import density, solve_potential
+from .interaction import solve_potential
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -163,8 +163,8 @@ def profile_moments(
             raise ValueError("the entropy family carries no mu multiplier")
         rows = SQRT_2PI * np.exp(lam - phi.values)
         casimir_rows = rows * (lam - phi.values - 0.5)
-        mass = float(rows.sum()) * d_theta
-        return ProfileMoments(mass, float(casimir_rows.sum()) * d_theta, mass,
+        m = float(rows.sum()) * d_theta
+        return ProfileMoments(m, float(casimir_rows.sum()) * d_theta, m,
                               float((casimir_rows + rows).sum()) * d_theta)
     p = spec.p
     k = 1.0 / (p - 1.0)
@@ -332,8 +332,7 @@ def auxiliary_energy_two(
     exact half squared L2 distance of the two field derivatives.
     """
     F = build_F_phi(phi, spec, multipliers)
-    pairing = float(phi.values @ density(F).values) * phi.grid.d_theta
-    return kinetic_energy(F) + pairing + potential_energy(F, phi)
+    return microscopic_energy_pairing(F, phi) + potential_energy(F, phi)
 
 
 def auxiliary_energy_one(phi: Potential, spec: CasimirSpec, lam: float) -> float:
@@ -533,7 +532,7 @@ def renormalize_to_constraints(
     met up to the resampling error.
     """
     grid = g.grid
-    total = float(g.values.sum()) * grid.cell_area
+    total = mass(g)
     if not total > 0.0:
         raise ValueError("cannot renormalize the zero field")
     lam = constraints.m1 / total
@@ -545,7 +544,7 @@ def renormalize_to_constraints(
         target = constraints.mj * total / constraints.m1
         # j = t**p underflows to 0 on tiny fields and overflows on huge ones
         with np.errstate(over="ignore"):
-            j_norm = float(spec.j(g.values).sum()) * grid.cell_area
+            j_norm = casimir_integral(g, spec)
         if not 0.0 < j_norm < math.inf:
             raise ValueError("the casimir integral of the field is %.6g, "
                              "not finite and positive" % j_norm)
@@ -560,8 +559,8 @@ def renormalize_to_constraints(
     for i in range(grid.n_theta):
         resampled[i] = np.interp(sample_at, grid.v, g.values[i], left=0.0, right=0.0)
     resampled *= gamma
-    mass = float(resampled.sum()) * grid.cell_area
-    if not mass > 0.0:
+    kept = float(resampled.sum()) * grid.cell_area
+    if not kept > 0.0:
         raise ValueError("renormalization dilated all mass out of the grid")
-    resampled *= constraints.m1 / mass
+    resampled *= constraints.m1 / kept
     return DistributionField(grid, resampled)

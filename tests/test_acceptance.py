@@ -17,13 +17,13 @@ from hmfp.functionals import (
     hamiltonian,
     mass,
     orbital_distance,
+    weighted_l1_distance,
 )
 from hmfp.grid import (
     DistributionField,
     Potential,
     field_from_function,
     make_grid,
-    weighted_l1_distance,
 )
 from hmfp.interaction import solve_potential
 from hmfp.rearrange import (

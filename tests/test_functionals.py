@@ -21,9 +21,10 @@ from hmfp.functionals import (
     orbital_distance,
     potential_energy,
     read_diagnostics_csv,
+    weighted_l1_distance,
     write_diagnostics_csv,
 )
-from hmfp.grid import DistributionField, make_grid, weighted_l1_distance
+from hmfp.grid import DistributionField, make_grid
 from hmfp.interaction import solve_potential
 
 from conftest import maxwellian, smooth_random_field

@@ -12,7 +12,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hmfp.functionals import DiagnosticsRecord, mass, write_diagnostics_csv
+from hmfp.functionals import (
+    DiagnosticsRecord,
+    mass,
+    weighted_l1_distance,
+    write_diagnostics_csv,
+)
 from hmfp.interaction import Density
 from hmfp.grid import (
     DistributionField,
@@ -23,7 +28,6 @@ from hmfp.grid import (
     load_snapshot,
     make_grid,
     save_snapshot,
-    weighted_l1_distance,
 )
 
 from conftest import maxwellian

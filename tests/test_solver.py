@@ -1,5 +1,7 @@
 """Split-step transport: advection kernels, invariants, convergence."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,13 +10,12 @@ from hypothesis.extra.numpy import arrays
 
 from hmfp.casimir import entropy_spec
 from hmfp.errors import SolverAbort
-from hmfp.functionals import mass, momentum
+from hmfp.functionals import mass, momentum, weighted_l1_distance
 from hmfp.grid import (
     DistributionField,
     Potential,
     field_from_function,
     make_grid,
-    weighted_l1_distance,
 )
 from hmfp.solver import (
     CUBIC,
@@ -169,6 +170,20 @@ def test_advect_v_whole_cell_shift_drains_bottom_column():
     assert np.all(out.values[:, -1] == 0.0)
     lost = float(f.values[:, 0].sum()) * g.cell_area
     assert losses.outflow == pytest.approx(lost, rel=1e-13)
+
+
+@pytest.mark.parametrize("mode", ["linear", "cubic"])
+@pytest.mark.parametrize("force", [1e200, -1e200])
+def test_advect_v_huge_finite_force_drains_the_field_without_warning(force, mode):
+    # the shift, about 1e201 cells, does not fit int64; its base is clipped
+    # before the cast, so every row reads only the zero padding
+    f = wavy_gaussian(make_grid(16, 16, 3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out, losses = advect_v(f, np.full(16, force), 0.5, mode)
+    assert not out.values.any()
+    assert losses.outflow == mass(f)
+    assert losses.clipped_mass == 0.0
 
 
 def test_theta_advection_conserves_column_mass():

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from hmfp.casimir import POWER_MIN_EXPONENT, entropy_spec, power_spec
 from hmfp.errors import ConvergenceError, SolverAbort
 from hmfp.experiment import seed_potential
-from hmfp.functionals import casimir_integral, free_energy_J, hamiltonian, mass
+from hmfp.functionals import (
+    casimir_integral,
+    free_energy_J,
+    hamiltonian,
+    mass,
+    microscopic_energy_pairing,
+    potential_energy,
+)
 from hmfp.grid import DistributionField, Potential, make_grid
 from hmfp.interaction import solve_potential
 from hmfp.rearrange import equimeasurable_minimize
@@ -545,6 +552,20 @@ def test_monotone_chain_one_constraint():
         j_phi = auxiliary_energy_one(phi, spec, lam)
         assert free_energy_J(F, spec) <= j_phi + 1e-8
         assert j_phi <= free_energy_J(f, spec) + 1e-8
+
+
+def test_dual_energies_are_the_pairing_plus_the_field_energy_bitwise():
+    # J(phi) as the paper writes it: the microscopic-energy pairing of the
+    # profile plus half the squared norm of phi', through the same functionals
+    g = make_grid(32, 32, 6.0)
+    phi = wavy_potential(g)
+    for spec, mult in ((power_spec(2.0), Multipliers(lam=1.0, mu=-1.0)),
+                       (entropy_spec(), Multipliers(lam=0.3))):
+        F = build_F_phi(phi, spec, mult)
+        j_two = microscopic_energy_pairing(F, phi) + potential_energy(F, phi)
+        assert auxiliary_energy_two(phi, spec, mult) == j_two
+    # the one-constraint form adds the Casimir integral of the entropy profile
+    assert auxiliary_energy_one(phi, spec, 0.3) == j_two + casimir_integral(F, spec)
 
 
 def test_renormalize_is_identity_at_the_constraints():
