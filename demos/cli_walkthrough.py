@@ -65,10 +65,7 @@ solver.record_every = 10
     rearrange_cfg = write("rearrange.cfg", "rearrange.phi = self\n")
     run(["rearrange", "--config", rearrange_cfg, "--input", state])
 
-    # directories are named by the resolved config hash, so a diag run whose
-    # config resolves to the same defaults would share the rearrange run's
-    # directory; give it its own output root to keep the artifacts apart
-    diag_cfg = write("diag.cfg", "casimir = entropy\noutput.dir = diag_runs\n")
+    diag_cfg = write("diag.cfg", "casimir = entropy\n")
     run(["diag", "--config", diag_cfg, "--input", state])
 
     print("a parameter sweep, one directory per variant:")
@@ -76,10 +73,8 @@ solver.record_every = 10
          "--sweep", "perturbation.amplitude=1e-3,2e-3"])
 
     print("all run directories:")
-    for root in ("runs", "diag_runs"):
-        for d in sorted(os.listdir(root)):
-            files = sorted(os.listdir(os.path.join(root, d)))
-            print("  %s/%s: %s" % (root, d, files))
+    for d in sorted(os.listdir("runs")):
+        print("  runs/%s: %s" % (d, sorted(os.listdir(os.path.join("runs", d)))))
 
 
 # the run directories live in a temporary folder that is removed at the end;

@@ -2,17 +2,17 @@
 
     hmfp <command> --config <path> [--input <snapshot>] [--sweep k=v1,v2,...]
 
-Commands: steady, evolve, stability, rearrange, diag.  A sweep fans the
-run out over the listed values of one config key, each variant fully
-isolated in its own directory, named by the hash of its config, the
-command and the input snapshot; HMFP_THREADS caps the worker
-pool, and the variants' result lines come in the listed order.  Exit
-codes: 0 success, 1 a bad command line, config or I/O trouble, or too
-little memory, 2 an iterative solve failed to converge, 3 the time
-integrator aborted.  A steady state whose grid mass
-misses constraints.m1 by more than 1% exits 0 with a warning line on
-standard error.  Once per process, main keeps freed heap memory in the
-process rather than returning it to the kernel on every free (glibc
+Commands: steady, evolve, stability, rearrange, diag.  --input is read
+once and shared by every run.  A sweep fans the run out over the listed
+values of one config key, each variant isolated in its own directory,
+named by the hash of its config, the command and the input's bytes;
+HMFP_THREADS caps the worker pool, and the variants' result lines come
+in the listed order.  Exit codes: 0 success, 1 a bad command line,
+config or I/O trouble, or too little memory, 2 an iterative solve failed
+to converge, 3 the time integrator aborted.  A steady state whose grid
+mass misses constraints.m1 by more than 1% exits 0 with a warning line
+on standard error.  Once per process, main keeps freed heap memory in
+the process rather than returning it to the kernel on every free (glibc
 only; see _hold_freed_heap).
 """
 
@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from .config import load_config
 from .errors import ConfigError, ConvergenceError, SolverAbort
 # _dispatch looks each run_<command> up by name among these globals
-from .experiment import (COMMANDS, input_digest, run_diag,  # noqa: F401
+from .experiment import (COMMANDS, read_input, run_diag,  # noqa: F401
                          run_evolve, run_rearrange, run_stability, run_steady)
 
 _EXIT_CONFIG = 1
@@ -71,7 +71,7 @@ def _worker_count(n_jobs):
     return max(1, min(n_jobs, cap))
 
 
-def _sweep_configs(cfg, sweep, command, input_path):
+def _sweep_configs(cfg, sweep, command, snapshot):
     if sweep is None:
         return [cfg]
     key, sep, values = sweep.partition("=")
@@ -79,7 +79,7 @@ def _sweep_configs(cfg, sweep, command, input_path):
         raise ConfigError("--sweep wants key=v1,v2,..., got %r" % sweep)
     jobs = [cfg.with_value(key.strip(), v.strip()) for v in values.split(",")]
     # keyed as the runs are
-    digest = input_digest(input_path)
+    digest = None if snapshot is None else snapshot[2]
     dirs = [job.run_key(command, digest) for job in jobs]
     for d in dirs:
         if dirs.count(d) > 1:
@@ -87,14 +87,12 @@ def _sweep_configs(cfg, sweep, command, input_path):
     return jobs
 
 
-def _dispatch(command, cfg, input_path):
-    """Run one job and return its one-line summary and a warning line or None."""
+def _dispatch(command, cfg, snapshot):
+    """Run one job as run_<command>(cfg, snapshot), the read_input result;
+    return its one-line summary and a warning line or None."""
     # looked up at call time, so a rebound run_<command> (a test's stand-in,
     # the benchmark tracer's wrapper) is the one that runs
-    run = globals()["run_" + command]
-    if command == "steady":
-        return run(cfg)
-    return run(cfg, input_path), None
+    return globals()["run_" + command](cfg, snapshot)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,13 +132,14 @@ def main(argv=None):
             raise ConfigError("steady reads no input snapshot, got --input %s"
                               % args.input)
         cfg = load_config(args.config)
-        jobs = _sweep_configs(cfg, args.sweep, args.command, args.input)
+        snapshot = read_input(args.input)
+        jobs = _sweep_configs(cfg, args.sweep, args.command, snapshot)
         if len(jobs) == 1:
-            _report(*_dispatch(args.command, jobs[0], args.input))
+            _report(*_dispatch(args.command, jobs[0], snapshot))
         else:
             workers = _worker_count(len(jobs))
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_dispatch, args.command, job, args.input)
+                futures = [pool.submit(_dispatch, args.command, job, snapshot)
                            for job in jobs]
                 # the workers only return their lines, so the output is
                 # whole lines in the listed order

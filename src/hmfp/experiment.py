@@ -40,18 +40,20 @@ STABILITY_HEADER = "t,orbital_distance,shift,mass,hamiltonian,casimir"
 _MASS_MISS_WARN = 1e-2
 
 
-def input_digest(input_path):
-    """sha256 hex digest of an input snapshot's bytes; None without one."""
-    if input_path is None:
+def read_input(path):
+    """Read an input snapshot: (field, time, sha256 hex digest of its
+    bytes), or None without one."""
+    if path is None:
         return None
     digest = hashlib.sha256()
     try:
-        with open(input_path, "rb") as fh:
+        field, time = load_snapshot(path)
+        with open(path, "rb") as fh:
             for chunk in iter(lambda: fh.read(1 << 20), b""):
                 digest.update(chunk)
-    except OSError as exc:
-        raise ConfigError("cannot read snapshot %s: %s" % (input_path, exc)) from exc
-    return digest.hexdigest()
+    except (OSError, ValueError) as exc:
+        raise ConfigError("cannot read snapshot %s: %s" % (path, exc)) from exc
+    return field, time, digest.hexdigest()
 
 
 def _write_text(path, text):
@@ -59,21 +61,19 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def run_directory(cfg, command, input_path=None):
+def run_directory(cfg, command, snapshot=None):
     """Create (if needed) and return the output directory of one run."""
-    path = os.path.join(cfg.output_dir, cfg.run_key(command, input_digest(input_path)))
+    digest = None if snapshot is None else snapshot[2]
+    path = os.path.join(cfg.output_dir, cfg.run_key(command, digest))
     os.makedirs(path, exist_ok=True)
     _write_text(os.path.join(path, "config.txt"), cfg.canonical_text())
     return path
 
 
-def _require_input(input_path):
-    if input_path is None:
+def _require_input(snapshot):
+    if snapshot is None:
         raise ConfigError("this command needs --input <snapshot>")
-    try:
-        return load_snapshot(input_path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError("cannot read snapshot %s: %s" % (input_path, exc)) from exc
+    return snapshot
 
 
 def seed_potential(grid, amplitude):
@@ -109,11 +109,11 @@ def _ground_state(cfg, spec):
                                  max_iter=cfg.max_iter)
 
 
-def run_steady(cfg):
+def run_steady(cfg, snapshot):
     """Construct the configured ground state; write snapshot and report.
 
-    Returns the summary line and, when the grid mass misses constraints.m1
-    by more than _MASS_MISS_WARN of it, a warning line (else None).
+    snapshot is unused: the command line rejects --input for steady.  Warns
+    when the grid mass misses constraints.m1 by more than _MASS_MISS_WARN.
     """
     spec = cfg.casimir_spec()
     result = _ground_state(cfg, spec)
@@ -138,15 +138,15 @@ def run_steady(cfg):
                   % (out, grid_mass, cfg.m1))
 
 
-def run_evolve(cfg, input_path):
+def run_evolve(cfg, snapshot):
     """Evolve a snapshot under the configured solver.
 
     Writes diagnostics.csv, the final snapshot, and optionally a snapshot
-    every solver.snapshot_every records.  Returns the summary line.
+    every solver.snapshot_every records.
     """
-    field, t0 = _require_input(input_path)
+    field, t0, _ = _require_input(snapshot)
     spec = cfg.casimir_spec()
-    out = run_directory(cfg, "evolve", input_path)
+    out = run_directory(cfg, "evolve", snapshot)
     records = []
 
     def observer(time, fld):
@@ -160,22 +160,18 @@ def run_evolve(cfg, input_path):
     write_diagnostics_csv(records, os.path.join(out, "diagnostics.csv"))
     save_snapshot(result.field, result.time, os.path.join(out, "final.snap"))
     return ("%s: %d steps to t = %.6g, boundary loss %.3e"
-            % (out, result.steps, result.time, result.boundary_loss))
+            % (out, result.steps, result.time, result.boundary_loss)), None
 
 
-def run_stability(cfg, input_path=None):
+def run_stability(cfg, snapshot):
     """Perturb a steady state, evolve it, and track the orbital distance.
 
     The base state comes from --input when given and is otherwise
     constructed in-run from the constraint keys.  Writes stability.csv with
     one row per record and summary.txt with the sup of the distance.
-    Returns the summary line.
     """
     spec = cfg.casimir_spec()
-    if input_path is not None:
-        base, _ = _require_input(input_path)
-    else:
-        base = _ground_state(cfg, spec).field
+    base = _ground_state(cfg, spec).field if snapshot is None else snapshot[0]
     start = perturb(base, cfg.kind, cfg.amplitude, cfg.seed)
     if cfg.renormalize:
         constraints = cfg.constraints()
@@ -191,7 +187,7 @@ def run_stability(cfg, input_path=None):
         d, shift = orbital_distance(fld, base)
         rows.append((time, d, shift, rec.mass, rec.hamiltonian, rec.casimir))
 
-    out = run_directory(cfg, "stability", input_path)
+    out = run_directory(cfg, "stability", snapshot)
     evolve(start, cfg.solver_config(), observer)
     with _atomic_write(os.path.join(out, "stability.csv")) as fh:
         np.savetxt(fh, rows, fmt="%.17g", delimiter=",",
@@ -200,18 +196,17 @@ def run_stability(cfg, input_path=None):
     _write_text(os.path.join(out, "summary.txt"), key_value_text([
         ("sup_orbital_distance", sup), ("amplitude", cfg.amplitude),
     ]))
-    return "%s: sup orbital distance = %.10g" % (out, sup)
+    return "%s: sup orbital distance = %.10g" % (out, sup), None
 
 
-def run_rearrange(cfg, input_path):
+def run_rearrange(cfg, snapshot):
     """Rearrange a snapshot decreasingly in its microscopic energy.
 
     The potential is the snapshot's own self-consistent field, or zero
     when rearrange.phi = zero.  Writes the rearranged snapshot and a
     report with the raw and band-tolerant equimeasurability defects.
-    Returns the summary line.
     """
-    field, t0 = _require_input(input_path)
+    field, t0, _ = _require_input(snapshot)
     grid = field.grid
     if cfg.phi_source == "zero":
         phi = Potential(grid, np.zeros(grid.n_theta), np.zeros(grid.n_theta))
@@ -222,21 +217,21 @@ def run_rearrange(cfg, input_path):
     ladder = level_grid(field, n_levels)
     raw = equimeasurability_defect(field, rearranged, ladder)
     banded = level_band_defect(field, rearranged, ladder)
-    out = run_directory(cfg, "rearrange", input_path)
+    out = run_directory(cfg, "rearrange", snapshot)
     save_snapshot(rearranged, t0, os.path.join(out, "rearranged.snap"))
     _write_text(os.path.join(out, "rearrange_report.txt"), key_value_text([
         ("sup_level_defect", raw), ("banded_defect", banded),
         ("mass_in", mass(field)), ("mass_out", mass(rearranged)),
     ]))
-    return "%s: banded equimeasurability defect = %.10g" % (out, banded)
+    return "%s: banded equimeasurability defect = %.10g" % (out, banded), None
 
 
-def run_diag(cfg, input_path):
-    """Write the diagnostics of a snapshot as one CSV row; return the
-    summary line, which ends in that row."""
-    field, t0 = _require_input(input_path)
+def run_diag(cfg, snapshot):
+    """Write the diagnostics of a snapshot as one CSV row; the summary
+    line ends in that row."""
+    field, t0, _ = _require_input(snapshot)
     spec = cfg.casimir_spec()
     rec = diagnostics(field, spec, t0)
-    out = run_directory(cfg, "diag", input_path)
+    out = run_directory(cfg, "diag", snapshot)
     write_diagnostics_csv([rec], os.path.join(out, "diag.csv"))
-    return "%s: %s" % (out, rec.to_csv())
+    return "%s: %s" % (out, rec.to_csv()), None

@@ -181,8 +181,11 @@ def save_snapshot(field: DistributionField, time: float, path) -> None:
 
     Header line (ASCII): ``HMFP2 n_theta n_v v_max time`` with 17
     significant digits; then the n_theta*n_v values as little-endian
-    float64 in row order, so the round trip is bit exact.
+    float64 in row order, so the round trip is bit exact.  The time must
+    be finite, as load_snapshot requires.
     """
+    if not np.isfinite(time):
+        raise ValueError(f"snapshot time must be finite, got {time}")
     g = field.grid
     header = f"{SNAPSHOT_MAGIC} {g.n_theta} {g.n_v} {g.v_max:.17g} {time:.17g}\n"
     with _atomic_write(path, "wb") as fh:
@@ -203,6 +206,8 @@ def load_snapshot(path) -> tuple[DistributionField, float]:
         raise ValueError(f"{path}: not a {SNAPSHOT_MAGIC} snapshot")
     n_theta, n_v = int(header[1]), int(header[2])
     v_max, time = float(header[3]), float(header[4])
+    if not np.isfinite(time):
+        raise ValueError(f"{path}: snapshot time must be finite, got {time}")
     if header[0] == SNAPSHOT_MAGIC:
         if len(body) != 8 * n_theta * n_v:
             raise ValueError(

@@ -338,9 +338,9 @@ def auxiliary_energy_two(
 def auxiliary_energy_one(phi: Potential, spec: CasimirSpec, lam: float) -> float:
     """Dual energy of the one-constraint problem: the two-constraint form
     plus the Casimir integral of the profile."""
-    mult = Multipliers(lam=lam)
-    F = build_F_phi(phi, spec, mult)
-    return auxiliary_energy_two(phi, spec, mult) + casimir_integral(F, spec)
+    F = build_F_phi(phi, spec, Multipliers(lam=lam))
+    return (microscopic_energy_pairing(F, phi) + potential_energy(F, phi)
+            + casimir_integral(F, spec))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import hmfp.cli
+import hmfp.experiment
 from hmfp.casimir import entropy_spec
 from hmfp.cli import main
 from hmfp.config import load_config
-from hmfp.experiment import STABILITY_HEADER, input_digest, perturb
+from hmfp.experiment import STABILITY_HEADER, perturb, read_input
 from hmfp.functionals import (
     diagnostics,
     mass,
@@ -519,6 +520,37 @@ def test_diag_row_matches_the_library(tmp_path, monkeypatch, capsys):
     assert expected.to_csv() in capsys.readouterr().out
 
 
+def test_rearrange_zero_snapshot_reports_no_defect_and_no_mass(
+        tmp_path, monkeypatch, capsys):
+    # every level ladder of the zero field is [0.0]
+    monkeypatch.chdir(tmp_path)
+    snap = str(tmp_path / "zero.snap")
+    save_snapshot(DistributionField(make_grid(16, 16, 6.0), np.zeros((16, 16))),
+                  0.0, snap)
+    cfg = write_cfg(tmp_path, "rearrange.phi = self\n")
+    assert main(["rearrange", "--config", cfg, "--input", snap]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.endswith("banded equimeasurability defect = 0\n")
+    (run_dir,) = run_dirs(tmp_path)
+    with open(os.path.join(run_dir, "rearrange_report.txt")) as fh:
+        report = dict(line.split(" = ") for line in fh.read().splitlines())
+    assert {k: float(v) for k, v in report.items()} == {
+        "sup_level_defect": 0.0, "banded_defect": 0.0,
+        "mass_in": 0.0, "mass_out": 0.0}
+
+
+def test_unwritable_output_dir_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    snap, _ = write_probe_snapshot(tmp_path, n=16)
+    (tmp_path / "blocker").write_text("a file, not a directory\n")
+    cfg = write_cfg(tmp_path, "output.dir = blocker/runs\n")
+    assert main(["diag", "--config", cfg, "--input", snap]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("hmfp: [Errno ") and "Not a directory" in err
+
+
 def test_diag_missing_snapshot_exits_one(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "casimir = entropy\n")
     assert main(["diag", "--config", cfg,
@@ -535,8 +567,11 @@ ONES_8X8 = struct.pack("<64d", *[1.0] * 64)
     b"HMFP2 8 8 6 0\n" + ONES_8X8[:-1],
     b"HMFP2 8 8 6 0\n" + ONES_8X8 + b"\0",
     b"HMFP2 8 8 6 \xb5\n" + ONES_8X8,
+    b"HMFP2 8 8 6 nan\n" + ONES_8X8,
+    b"HMFP2 8 8 6 inf\n" + ONES_8X8,
+    b"HMFP2 8 8 6 -inf\n" + ONES_8X8,
 ], ids=["bad_magic", "short_data", "truncated_binary", "oversized_binary",
-        "non_ascii_header"])
+        "non_ascii_header", "nan_time", "inf_time", "minus_inf_time"])
 def test_malformed_snapshot_exits_one(tmp_path, capsys, data):
     snap = tmp_path / "bad.snap"
     snap.write_bytes(data)
@@ -579,21 +614,58 @@ def test_sweep_lines_are_whole_and_in_listed_order(tmp_path, monkeypatch,
     delays = {0.1: 0.4, 0.2: 0.3, 0.3: 0.2, 0.4: 0.1}
     real_run_diag = hmfp.cli.run_diag
 
-    def slow_run_diag(cfg, input_path):
+    def slow_run_diag(cfg, snapshot):
         time.sleep(delays[cfg.dt])
-        return real_run_diag(cfg, input_path)
+        return real_run_diag(cfg, snapshot)
 
     monkeypatch.setattr(hmfp.cli, "run_diag", slow_run_diag)
     cfg_path = write_cfg(tmp_path, "casimir = entropy\n")
     assert main(["diag", "--config", cfg_path, "--input", snap,
                  "--sweep", "solver.dt=" + ",".join(values)]) == 0
     cfg = load_config(cfg_path)
-    digest = input_digest(snap)
+    _, _, digest = read_input(snap)
     dirs = [os.path.join("runs", cfg.with_value("solver.dt", v).run_key("diag", digest))
             for v in values]
     lines = capsys.readouterr().out.splitlines()
     assert [line.partition(": ")[0] for line in lines] == dirs
     assert all(line.count(": ") == 1 for line in lines)
+
+
+@pytest.mark.parametrize("sweep", [[], ["--sweep", "solver.dt=0.1,0.2,0.3"]],
+                         ids=["single", "sweep"])
+def test_input_snapshot_is_loaded_once_per_command_line(tmp_path, monkeypatch,
+                                                        capsys, sweep):
+    monkeypatch.chdir(tmp_path)
+    snap, _ = write_probe_snapshot(tmp_path, n=16)
+    loads = []
+    real_load_snapshot = hmfp.experiment.load_snapshot
+
+    def counting_load_snapshot(path):
+        loads.append(path)
+        return real_load_snapshot(path)
+
+    monkeypatch.setattr(hmfp.experiment, "load_snapshot", counting_load_snapshot)
+    cfg = write_cfg(tmp_path, "casimir = entropy\n")
+    assert main(["diag", "--config", cfg, "--input", snap] + sweep) == 0
+    assert loads == [snap]
+    assert len(run_dirs(tmp_path)) == (3 if sweep else 1)
+
+
+# the input is read before the sweep's variants are checked, so the
+# duplicate variants of the second case never reach their check
+@pytest.mark.parametrize("sweep", ["solver.dt=0.1,0.2", "solver.dt=0.1,0.1"])
+def test_sweep_over_a_malformed_input_exits_one(tmp_path, monkeypatch, capsys,
+                                                sweep):
+    monkeypatch.chdir(tmp_path)
+    snap = tmp_path / "bad.snap"
+    snap.write_bytes(b"HMFP2 8 8 6 0\n" + ONES_8X8[:-1])
+    cfg = write_cfg(tmp_path, "casimir = entropy\n")
+    assert main(["diag", "--config", cfg, "--input", str(snap),
+                 "--sweep", sweep]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "cannot read snapshot" in err
+    assert run_dirs(tmp_path) == []
 
 
 def test_sweep_bad_syntax_exits_one(tmp_path, capsys):

@@ -232,6 +232,19 @@ def test_snapshot_rejects_corrupt_header(tmp_path):
         load_snapshot(path)
 
 
+@pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+def test_snapshot_time_must_be_finite(tmp_path, time):
+    f = maxwellian(make_grid(8, 8, 6.0), 1.0)
+    path = tmp_path / "state.snap"
+    with pytest.raises(ValueError, match="time must be finite"):
+        save_snapshot(f, time, path)
+    assert os.listdir(tmp_path) == []
+    # the same file written by another program
+    path.write_bytes(b"HMFP2 8 8 6 %r\n" % time + f.values.astype("<f8").tobytes())
+    with pytest.raises(ValueError, match="time must be finite"):
+        load_snapshot(path)
+
+
 def test_failed_write_keeps_the_old_file(tmp_path):
     path = tmp_path / "state.snap"
     save_snapshot(maxwellian(make_grid(16, 16, 4.0), 1.0), 0.0, path)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import hmfp.steady
 from hmfp.casimir import POWER_MIN_EXPONENT, entropy_spec, power_spec
 from hmfp.errors import ConvergenceError, SolverAbort
 from hmfp.experiment import seed_potential
@@ -554,7 +555,7 @@ def test_monotone_chain_one_constraint():
         assert j_phi <= free_energy_J(f, spec) + 1e-8
 
 
-def test_dual_energies_are_the_pairing_plus_the_field_energy_bitwise():
+def test_dual_energies_are_the_pairing_plus_the_field_energy_bitwise(monkeypatch):
     # J(phi) as the paper writes it: the microscopic-energy pairing of the
     # profile plus half the squared norm of phi', through the same functionals
     g = make_grid(32, 32, 6.0)
@@ -564,8 +565,22 @@ def test_dual_energies_are_the_pairing_plus_the_field_energy_bitwise():
         F = build_F_phi(phi, spec, mult)
         j_two = microscopic_energy_pairing(F, phi) + potential_energy(F, phi)
         assert auxiliary_energy_two(phi, spec, mult) == j_two
-    # the one-constraint form adds the Casimir integral of the entropy profile
-    assert auxiliary_energy_one(phi, spec, 0.3) == j_two + casimir_integral(F, spec)
+    # the one-constraint form adds the Casimir integral of its profile, which
+    # it builds once
+    profiles = []
+
+    def counting_build_F_phi(*args):
+        profiles.append(build_F_phi(*args))
+        return profiles[-1]
+
+    monkeypatch.setattr(hmfp.steady, "build_F_phi", counting_build_F_phi)
+    for spec in (power_spec(2.0), entropy_spec()):
+        F = build_F_phi(phi, spec, Multipliers(lam=0.3))
+        j_one = (microscopic_energy_pairing(F, phi) + potential_energy(F, phi)
+                 + casimir_integral(F, spec))
+        assert auxiliary_energy_one(phi, spec, 0.3) == j_one
+        assert len(profiles) == 1
+        profiles.clear()
 
 
 def test_renormalize_is_identity_at_the_constraints():
