@@ -28,12 +28,11 @@ values = (1.0 + 0.4 * np.cos(g.theta - 0.7)
           + 0.2 * np.cos(2 * g.theta + 0.3))[:, None] \
     * np.exp(-0.5 * (1.1 * g.v) ** 2)[None, :]
 f = DistributionField(g, values)
-n_levels = (g.n_theta * g.n_v) // 4
+ladder = level_grid(f, (g.n_theta * g.n_v) // 4)
 
 zero = Potential(g, np.zeros(g.n_theta), np.zeros(g.n_theta))
 for label, phi in (("phi = 0", zero), ("self-consistent phi", solve_potential(f))):
-    out = rearrange_with_energy(f, phi, n_levels)
-    ladder = level_grid(f, n_levels)
+    out = rearrange_with_energy(f, phi, ladder)
     raw = equimeasurability_defect(f, out, ladder)
     banded = level_band_defect(f, out, ladder)
     print("== %s ==" % label)

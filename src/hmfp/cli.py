@@ -8,12 +8,12 @@ values of one config key, each variant isolated in its own directory,
 named by the hash of its config, the command and the input's bytes;
 HMFP_THREADS caps the worker pool, and the variants' result lines come
 in the listed order.  Exit codes: 0 success, 1 a bad command line,
-config or I/O trouble, or too little memory, 2 an iterative solve failed
-to converge, 3 the time integrator aborted.  A steady state whose grid
-mass misses constraints.m1 by more than 1% exits 0 with a warning line
-on standard error.  Once per process, main keeps freed heap memory in
-the process rather than returning it to the kernel on every free (glibc
-only; see _hold_freed_heap).
+config or I/O trouble, a number out of range, or too little memory, 2
+an iterative solve failed to converge, 3 the time integrator aborted.  A
+steady state whose grid mass misses constraints.m1 by more than 1% exits
+0 with a warning line on standard error.  Once per process, main keeps
+freed heap memory in the process rather than returning it to the kernel
+on every free (glibc only; see _hold_freed_heap).
 """
 
 import argparse
@@ -145,7 +145,9 @@ def main(argv=None):
                 # whole lines in the listed order
                 for fut in futures:
                     _report(*fut.result())
-    except ConfigError as exc:
+    # ConfigError is a ValueError; so is a non-finite field that a
+    # library check rejects, and a float overflow is an ArithmeticError
+    except (ValueError, ArithmeticError, OSError) as exc:
         print("hmfp: %s" % exc, file=sys.stderr)
         return _EXIT_CONFIG
     except ConvergenceError as exc:
@@ -154,9 +156,6 @@ def main(argv=None):
     except SolverAbort as exc:
         print("hmfp: solver aborted: %s" % exc, file=sys.stderr)
         return _EXIT_ABORT
-    except OSError as exc:
-        print("hmfp: %s" % exc, file=sys.stderr)
-        return _EXIT_CONFIG
     except MemoryError as exc:
         print("hmfp: out of memory: %s" % exc, file=sys.stderr)
         return _EXIT_CONFIG

@@ -212,9 +212,8 @@ def run_rearrange(cfg, snapshot):
         phi = Potential(grid, np.zeros(grid.n_theta), np.zeros(grid.n_theta))
     else:
         phi = solve_potential(field)
-    n_levels = (grid.n_theta * grid.n_v) // 4
-    rearranged = rearrange_with_energy(field, phi, n_levels)
-    ladder = level_grid(field, n_levels)
+    ladder = level_grid(field, (grid.n_theta * grid.n_v) // 4)
+    rearranged = rearrange_with_energy(field, phi, ladder)
     raw = equimeasurability_defect(field, rearranged, ladder)
     banded = level_band_defect(field, rearranged, ladder)
     out = run_directory(cfg, "rearrange", snapshot)

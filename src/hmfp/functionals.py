@@ -40,16 +40,15 @@ def kinetic_energy(f: DistributionField) -> float:
     return 0.5 * float((f.values @ (g.v ** 2)).sum()) * g.cell_area
 
 
-def potential_energy(f: DistributionField, potential: Potential | None = None) -> float:
-    """Half the squared L2 norm of the self-consistent field phi'.
+def field_energy(phi: Potential) -> float:
+    """Half the squared L2 norm of the field phi': the field term of the
+    dual energy."""
+    return 0.5 * float(phi.derivative @ phi.derivative) * phi.grid.d_theta
 
-    Pass the potential when the caller already solved it; otherwise it is
-    recomputed here.
-    """
-    if potential is None:
-        potential = solve_potential(f)
-    g = f.grid
-    return 0.5 * float(potential.derivative @ potential.derivative) * g.d_theta
+
+def potential_energy(f: DistributionField) -> float:
+    """Field energy of the self-consistent potential of f."""
+    return field_energy(solve_potential(f))
 
 
 def hamiltonian(f: DistributionField) -> float:

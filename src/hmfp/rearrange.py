@@ -9,14 +9,12 @@ The central object is the sublevel measure of e(theta, v) = v**2/2 + phi,
 which is exact in v (each theta section of the sublevel set is an interval)
 and discrete only in theta.  It is the order k = 0 case of the one velocity
 integral behind the steady profiles, steady._section_sum, whose order k = 1
-case is its antiderivative in e.  Its inverse is computed by the bisection
-of the steady-state multiplier solves, run down to adjacent floats, on the
-two-sided bound a_inv(s) in [s**2/(32 pi**2) + min phi, s**2/(32 pi**2) +
-max phi], which brackets the root for every potential.
-Rearranging a field with respect to a potential composes the pseudo-inverse
-of its distribution function with this measure, giving a field that is
-nonincreasing along level sets of the microscopic energy and equimeasurable
-to the original up to level quantization.
+case is its antiderivative in e; its inverse is that sum's one inverse,
+steady._section_sum_inverse.  Rearranging a field with respect to a
+potential composes the pseudo-inverse of its distribution function with
+this measure, giving a field that is nonincreasing along level sets of the
+microscopic energy and equimeasurable to the original up to level
+quantization.
 """
 
 from __future__ import annotations
@@ -25,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DistributionField, PhaseGrid, Potential, _adopt
+from .grid import DistributionField, Potential, _adopt
 from .interaction import solve_potential
-from .steady import SteadyStateResult, _bisect, _damped_fixed_point, _section_sum
+from .steady import (SteadyStateResult, _damped_fixed_point, _section_sum,
+                     _section_sum_inverse)
 
 # ---------------------------------------------------------------------------
 # Monotone profiles
@@ -136,17 +135,9 @@ def sublevel_measure_a(phi: Potential, e):
 
 
 def inverse_sublevel_measure(phi: Potential, s):
-    """Inverse of the sublevel measure by bisection on its exact bracket.
-
-    For every potential, a_inv(s) lies between s**2/(32 pi**2) + min phi and
-    s**2/(32 pi**2) + max phi; bisection narrows that bracket until every
-    root sits between adjacent floats, which pins it to relative machine
-    precision.
-    """
-    s = np.asarray(s, dtype=float)
-    base = s * s / (32.0 * np.pi ** 2)
-    out = _bisect(lambda e: sublevel_measure_a(phi, e) < s,
-                  base + float(phi.values.min()), base + float(phi.values.max()))
+    """Inverse of the sublevel measure, pinned to relative machine precision:
+    the section sum inverse of order k = 0."""
+    out = _section_sum_inverse(phi, np.asarray(s, dtype=float), 0.0, 1.0)
     return out if out.ndim else float(out)
 
 
@@ -156,32 +147,33 @@ def inverse_sublevel_measure(phi: Potential, s):
 
 
 def rearrange_with_energy(
-    f: DistributionField, phi: Potential, n_levels: int | None = None
+    f: DistributionField, phi: Potential, levels=None
 ) -> DistributionField:
     """Rearrangement of f that is nonincreasing in the microscopic energy.
 
-    Composes the pseudo-inverse of the distribution function of f (sampled
-    on the hybrid level ladder, n_levels wide) with the sublevel measure of
-    v**2/2 + phi(theta), pointwise on the grid.  A denser ladder tightens
-    the level quantization of the output; the default keeps it at four
-    levels per velocity cell.
+    Composes the pseudo-inverse of the distribution function of f, sampled
+    at the given levels (by default the hybrid ladder level_grid(f)), with
+    the sublevel measure of v**2/2 + phi(theta), pointwise on the grid.  A
+    denser ladder tightens the level quantization of the output; the
+    default keeps it at four levels per velocity cell.
     """
     if f.grid != phi.grid:
         raise ValueError("field and potential live on different grids")
-    fsharp = pseudo_inverse(distribution_function(f, level_grid(f, n_levels)))
-    return compose_profile(fsharp, f.grid, phi)
+    if levels is None:
+        levels = level_grid(f)
+    return compose_profile(pseudo_inverse(distribution_function(f, levels)), phi)
 
 
-def compose_profile(
-    fsharp: MonotoneProfile, grid: PhaseGrid, phi: Potential
-) -> DistributionField:
-    """Sample fsharp(a_phi(v**2/2 + phi)) on the grid.
+def compose_profile(fsharp: MonotoneProfile, phi: Potential) -> DistributionField:
+    """Sample fsharp(a_phi(v**2/2 + phi)) on the grid of phi.
 
     The profile is evaluated once per theta node and distinct kinetic
     energy v**2/2, then scattered to the velocity columns that share it.
-    The sublevel measure is evaluated in chunks so the (energies x n_theta)
-    broadcast never materializes for large grids.
+    The sublevel measure is evaluated on 8192 energies at a time, so each
+    of its temporaries holds 8192 x n_theta floats (32 MiB at 512^2)
+    instead of the whole (energies x n_theta) broadcast (512 MiB there).
     """
+    grid = phi.grid
     kinetic, column = np.unique(0.5 * grid.v ** 2, return_inverse=True)
     e = (kinetic[np.newaxis, :] + phi.values[:, np.newaxis]).ravel()
     out = np.empty_like(e)
@@ -349,11 +341,10 @@ def equimeasurable_minimize(
     constraint here is the full orbit of f0, not scalar moments), so the
     multipliers slot of the result is None.
     """
-    g = f0.grid
     fsharp = pseudo_inverse(distribution_function(f0, level_grid(f0)))
 
     def update(phi):
-        field = compose_profile(fsharp, g, phi)
+        field = compose_profile(fsharp, phi)
         return solve_potential(field), field
 
     phi, field, iterations, residual = _damped_fixed_point(

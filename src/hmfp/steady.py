@@ -20,9 +20,11 @@ is materialized as a DistributionField.
 The entropy multiplier has a closed form.  The power multipliers come from
 one bisection in lambda, run until its bracket ends are adjacent floats:
 the maps are strictly monotone but their derivatives are kinked, so
-bisection is the unconditionally safe choice.  With two constraints the
-mass constraint fixes |mu| in closed form for each lambda, which leaves
-that single root.
+bisection is the unconditionally safe choice.  _section_sum_inverse, the
+one inverse of a section sum, gives the one-constraint multiplier and the
+rearrangement's inverse sublevel measure.  With two constraints the mass
+constraint fixes |mu| in closed form for each lambda, which leaves that
+single root, bracketed by its own search.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from .casimir import ENTROPY, POWER, CasimirSpec
 from .errors import ConvergenceError, SolverAbort
-from .functionals import casimir_integral, mass, microscopic_energy_pairing, potential_energy
+from .functionals import casimir_integral, field_energy, mass, microscopic_energy_pairing
 from .grid import TWO_PI, DistributionField, PhaseGrid, Potential
 from .interaction import solve_potential
 
@@ -234,26 +236,37 @@ def _bisect(below, lo, hi):
     return 0.5 * (lo + hi)
 
 
+def _section_sum_inverse(phi: Potential, target, k: float, ps: float):
+    """Root x of _section_sum(phi, x, k, ps) = target, by bisection on its
+    exact bracket down to adjacent floats.
+
+    With c = _power_coefficient(k, ps), the sum c sum_i (x - phi_i)_+**(k +
+    1/2) d_theta lies between its values for the flat potentials min phi
+    and max phi, 2 pi c (x - phi)_+**(k + 1/2), so the root lies in [min
+    phi, max phi] + (target / (2 pi c))**(1/(k + 1/2)) for every potential;
+    for the sublevel measure (k = 0, ps = 1) and target s the offset is
+    s**2/(32 pi**2).  target is a scalar or an array of nonnegative values.
+    """
+    offset = (target / (TWO_PI * _power_coefficient(k, ps))) ** (1.0 / (k + 0.5))
+    return _bisect(lambda x: _section_sum(phi, x, k, ps) < target,
+                   float(phi.values.min()) + offset, float(phi.values.max()) + offset)
+
+
 def solve_lambda_one(phi: Potential, spec: CasimirSpec, m1: float) -> float:
     """Multiplier of the one-constraint profile: mass(lambda) = m1.
 
     The entropy mass sqrt(2 pi) sum exp(lambda - phi_i) d_theta inverts in
-    closed form.  The power mass c_k sum (lambda - phi_i)_+**(k + 1/2)
-    d_theta lies between its values for the flat potentials min phi and
-    max phi, so lambda lies in [min phi, max phi] + (m1 / (2 pi
-    c_k))**(1/(k + 1/2)), where it is bisected.
+    closed form; the power mass is the section sum of order k = 1/(p - 1),
+    inverted by _section_sum_inverse.
     """
     if not m1 > 0.0:
         raise ValueError("m1 must be positive")
-    min_phi = float(phi.values.min())
     if spec.family == ENTROPY:
+        min_phi = float(phi.values.min())
         # shifted by min phi so the exponentials stay in range
         weight = SQRT_2PI * float(np.exp(min_phi - phi.values).sum()) * phi.grid.d_theta
         return min_phi + math.log(m1 / weight)
-    k = 1.0 / (spec.p - 1.0)
-    offset = (m1 / (TWO_PI * _power_coefficient(k, spec.p))) ** (1.0 / (k + 0.5))
-    return float(_bisect(lambda lam: _section_sum(phi, lam, k, spec.p) < m1,
-                         min_phi + offset, float(phi.values.max()) + offset))
+    return float(_section_sum_inverse(phi, m1, 1.0 / (spec.p - 1.0), spec.p))
 
 
 def solve_multipliers_two(
@@ -332,15 +345,14 @@ def auxiliary_energy_two(
     exact half squared L2 distance of the two field derivatives.
     """
     F = build_F_phi(phi, spec, multipliers)
-    return microscopic_energy_pairing(F, phi) + potential_energy(F, phi)
+    return microscopic_energy_pairing(F, phi) + field_energy(phi)
 
 
 def auxiliary_energy_one(phi: Potential, spec: CasimirSpec, lam: float) -> float:
     """Dual energy of the one-constraint problem: the two-constraint form
     plus the Casimir integral of the profile."""
     F = build_F_phi(phi, spec, Multipliers(lam=lam))
-    return (microscopic_energy_pairing(F, phi) + potential_energy(F, phi)
-            + casimir_integral(F, spec))
+    return microscopic_energy_pairing(F, phi) + field_energy(phi) + casimir_integral(F, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -117,20 +117,20 @@ def test_criterion_03_equimeasurability_with_refinement():
     worst_band = 0.0
     for seed in range(20):
         f = smooth_random_field(g, 200 + seed)
+        ladder = level_grid(f, (g.n_theta * g.n_v) // 4)
         for phi in (zero_potential(g), solve_potential(f)):
-            n_levels = (g.n_theta * g.n_v) // 4
-            out = rearrange_with_energy(f, phi, n_levels)
-            band = level_band_defect(f, out, level_grid(f, n_levels))
+            out = rearrange_with_energy(f, phi, ladder)
+            band = level_band_defect(f, out, ladder)
             worst_band = max(worst_band, band)
     # one refinement: the banded defect must obey the halved coarse bound
     g2 = make_grid(128, 128, 6.0)
     worst_fine = 0.0
     for seed in (201, 205, 213, 207, 211):
         f = smooth_random_field(g2, seed)
+        ladder = level_grid(f, (g2.n_theta * g2.n_v) // 4)
         for phi in (zero_potential(g2), solve_potential(f)):
-            n_levels = (g2.n_theta * g2.n_v) // 4
-            out = rearrange_with_energy(f, phi, n_levels)
-            worst_fine = max(worst_fine, level_band_defect(f, out, level_grid(f, n_levels)))
+            out = rearrange_with_energy(f, phi, ladder)
+            worst_fine = max(worst_fine, level_band_defect(f, out, ladder))
     # supporting check: the raw sup-level defect for the flat potential
     # tracks the v spacing exactly, so it halves under refinement
     raw_ratio = 0.0
@@ -139,9 +139,9 @@ def test_criterion_03_equimeasurability_with_refinement():
         for n in (64, 128):
             gg = make_grid(n, n, 6.0)
             ff = smooth_random_field(gg, seed)
-            nl = (gg.n_theta * gg.n_v) // 4
-            out = rearrange_with_energy(ff, zero_potential(gg), nl)
-            raws.append(equimeasurability_defect(ff, out, level_grid(ff, nl)))
+            ladder = level_grid(ff, (gg.n_theta * gg.n_v) // 4)
+            out = rearrange_with_energy(ff, zero_potential(gg), ladder)
+            raws.append(equimeasurability_defect(ff, out, ladder))
         raw_ratio = max(raw_ratio, raws[1] / raws[0])
     elapsed = time.monotonic() - t0
     ok = (worst_band <= bound and worst_fine <= 0.5 * bound

@@ -475,6 +475,49 @@ def test_unkeepable_mass_exits_with_one_line(tmp_path, monkeypatch, capsys,
     assert message in err
 
 
+def huge_rows_field():
+    # every value is finite, but each row sums past the largest double
+    return DistributionField(make_grid(16, 32, 6.0), np.full((16, 32), 1e307))
+
+
+POWER2_16 = ("grid.n_theta = 16\ngrid.n_v = 16\ncasimir = power:2\n"
+             "constraints.mj = 1\n")
+
+
+# numpy still warns on stderr about the overflow in the diag and rearrange
+# rows before the one line
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command, keys", [
+    ("diag", ""),
+    ("rearrange", ""),
+    # p |mu| underflows, and (p |mu|)**-k overflows
+    ("steady", POWER2_16 + "constraints.m1 = 1e200\n"),
+], ids=["diag", "rearrange", "steady"])
+def test_overflow_exits_one_with_an_hmfp_line(tmp_path, monkeypatch, capsys,
+                                              command, keys):
+    monkeypatch.chdir(tmp_path)
+    args = [command, "--config", write_cfg(tmp_path, keys)]
+    if command != "steady":
+        snap = str(tmp_path / "huge.snap")
+        save_snapshot(huge_rows_field(), 0.0, snap)
+        args += ["--input", snap]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("hmfp: ")
+    assert run_dirs(tmp_path) == []
+
+
+def test_unbracketable_casimir_value_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, POWER2_16 + "constraints.m1 = 1e-300\n")
+    assert main(["steady", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("hmfp: did not converge: solve_multipliers_two: "
+                          "could not bracket the Casimir value")
+
+
 # ---------------------------------------------------------------------------
 # rearrange and diag
 

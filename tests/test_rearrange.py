@@ -19,6 +19,7 @@ from hmfp.grid import DistributionField, Potential, make_grid
 from hmfp.interaction import solve_potential
 from hmfp.rearrange import (
     MonotoneProfile,
+    _level_bands,
     compose_profile,
     convex_B,
     distribution_function,
@@ -183,11 +184,20 @@ def test_inverse_measure_round_trip_and_bounds():
     assert np.all(e <= hi + 1e-12)
 
 
-def test_inverse_measure_matches_the_bisection_loop_bitwise():
-    # reference: the 90-step loop on the exact bracket, written out
-    g = make_grid(64, 32, 6.0)
-    phi = cosine_potential(g, a=0.7)
-    s = np.linspace(0.0, 80.0, 401)
+@example(n_theta=64, height=0.7, seed=0, targets=[80.0])
+@settings(max_examples=100, deadline=None)
+@given(n_theta=st.integers(8, 300), height=st.floats(1e-3, 1e2),
+       seed=st.integers(0, 2 ** 32 - 1),
+       targets=st.lists(st.floats(0.0, 1e4), max_size=50))
+def test_inverse_measure_matches_the_bisection_loop_bitwise(n_theta, height, seed,
+                                                            targets):
+    # reference: the 90-step loop on the bracket s**2/(32 pi**2) + [min phi,
+    # max phi], written out; the inverse bisects its own form of that
+    # bracket, whose ends may differ in their last bits
+    rng = np.random.default_rng(seed)
+    g = make_grid(n_theta, 8, 6.0)
+    phi = Potential(g, height * rng.uniform(-1.0, 1.0, n_theta), np.zeros(n_theta))
+    s = np.array([0.0] + targets)
     base = s * s / (32.0 * np.pi ** 2)
     lo = base + float(phi.values.min())
     hi = base + float(phi.values.max())
@@ -244,7 +254,7 @@ def test_rearrangement_preserves_mass_approximately():
     tol = 4.0 * g.cell_area * float(f.values.max())
     for phi in (flat_potential(g), solve_potential(f)):
         # a quarter-cell-count ladder resolves the mass to the 4-cell bound
-        out = rearrange_with_energy(f, phi, n_levels=(64 * 64) // 4)
+        out = rearrange_with_energy(f, phi, level_grid(f, (64 * 64) // 4))
         assert abs(mass(out) - mass(f)) <= tol
         # the default coarser ladder stays within a few bounds of it
         loose = rearrange_with_energy(f, phi)
@@ -300,6 +310,25 @@ def test_pairing_identity_profile_vs_bands():
             assert lhs == pytest.approx(rhs, rel=1e-6)
 
 
+@pytest.mark.parametrize("potential", [flat_potential, cosine_potential])
+def test_pairing_identity_when_the_profile_outreaches_the_box(potential):
+    # a field's f#, its measures stretched until the last breakpoint lies
+    # past the measure of every cell of the velocity box, so the level
+    # bands need no closing band
+    g = make_grid(32, 32, 6.0)
+    phi = potential(g)
+    a_top = sublevel_measure_a(phi, float(phi.values.max()) + 0.5 * g.v_max ** 2 + 1.0)
+    f = smooth_random_field(g, seed=65)
+    base = pseudo_inverse(distribution_function(f, level_grid(f)))
+    fsharp = MonotoneProfile(base.breakpoints * (1.5 * a_top / base.breakpoints[-1]),
+                             base.values)
+    x, _ = _level_bands(fsharp, phi)
+    assert x.tobytes() == fsharp.breakpoints.tobytes()
+    lhs = rearranged_energy_integral(fsharp, phi)
+    rhs = profile_pairing_integral(fsharp, phi)
+    assert lhs == pytest.approx(rhs, rel=1e-15)
+
+
 def test_microscopic_energy_pairing_flat_is_kinetic():
     g = make_grid(32, 64, 6.0)
     f = smooth_random_field(g, seed=62)
@@ -323,7 +352,7 @@ def test_compose_profile_indicator():
     phi = flat_potential(g)
     area_cut = 8.0
     fsharp = MonotoneProfile(np.array([0.0, area_cut]), np.array([1.0, 0.0]))
-    out = compose_profile(fsharp, g, phi)
+    out = compose_profile(fsharp, phi)
     # indicator of a(e) < area_cut, i.e. |v| < area_cut/(4 pi)
     v_cut = area_cut / (2.0 * TWO_PI)
     expect = (np.abs(g.v) < v_cut).astype(float)
@@ -373,7 +402,7 @@ def test_compose_profile_matches_the_per_cell_evaluation_bitwise(shape, potentia
     else:
         phi = Potential(g, rng.normal(0.0, 1.0, n_theta), np.zeros(n_theta))
     fsharp = pseudo_inverse(distribution_function(f, level_grid(f)))
-    got = compose_profile(fsharp, g, phi).values
+    got = compose_profile(fsharp, phi).values
     assert got.tobytes() == _compose_per_cell(fsharp, g, phi).tobytes()
 
 

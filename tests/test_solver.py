@@ -186,6 +186,16 @@ def test_advect_v_huge_finite_force_drains_the_field_without_warning(force, mode
     assert losses.clipped_mass == 0.0
 
 
+@pytest.mark.parametrize("mode", ["linear", "cubic"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_advect_v_rejects_a_force_that_is_not_finite(bad, mode):
+    f = wavy_gaussian(make_grid(16, 16, 3.0))
+    force = np.zeros(16)
+    force[5] = bad
+    with pytest.raises(ValueError, match="force is not finite"):
+        advect_v(f, force, 0.5, mode)
+
+
 def test_theta_advection_conserves_column_mass():
     g = default_grid()
     f = wavy_gaussian(g)

@@ -14,11 +14,11 @@ from hmfp.errors import ConvergenceError, SolverAbort
 from hmfp.experiment import seed_potential
 from hmfp.functionals import (
     casimir_integral,
+    field_energy,
     free_energy_J,
     hamiltonian,
     mass,
     microscopic_energy_pairing,
-    potential_energy,
 )
 from hmfp.grid import DistributionField, Potential, make_grid
 from hmfp.interaction import solve_potential
@@ -563,7 +563,7 @@ def test_dual_energies_are_the_pairing_plus_the_field_energy_bitwise(monkeypatch
     for spec, mult in ((power_spec(2.0), Multipliers(lam=1.0, mu=-1.0)),
                        (entropy_spec(), Multipliers(lam=0.3))):
         F = build_F_phi(phi, spec, mult)
-        j_two = microscopic_energy_pairing(F, phi) + potential_energy(F, phi)
+        j_two = microscopic_energy_pairing(F, phi) + field_energy(phi)
         assert auxiliary_energy_two(phi, spec, mult) == j_two
     # the one-constraint form adds the Casimir integral of its profile, which
     # it builds once
@@ -576,7 +576,7 @@ def test_dual_energies_are_the_pairing_plus_the_field_energy_bitwise(monkeypatch
     monkeypatch.setattr(hmfp.steady, "build_F_phi", counting_build_F_phi)
     for spec in (power_spec(2.0), entropy_spec()):
         F = build_F_phi(phi, spec, Multipliers(lam=0.3))
-        j_one = (microscopic_energy_pairing(F, phi) + potential_energy(F, phi)
+        j_one = (microscopic_energy_pairing(F, phi) + field_energy(phi)
                  + casimir_integral(F, spec))
         assert auxiliary_energy_one(phi, spec, 0.3) == j_one
         assert len(profiles) == 1
