@@ -14,7 +14,10 @@ steady._section_sum_inverse.  Rearranging a field with respect to a
 potential composes the pseudo-inverse of its distribution function with
 this measure, giving a field that is nonincreasing along level sets of the
 microscopic energy and equimeasurable to the original up to level
-quantization.
+quantization.  The two equimeasurability defects count superlevel sets in
+whole cells and multiply by the cell area once, so each is a whole number
+of cells times cell_area; the banded one forgives a band of n_theta cells,
+one per theta column, on either side of each level.
 """
 
 from __future__ import annotations
@@ -87,9 +90,9 @@ def level_grid(f: DistributionField, n_levels: int | None = None) -> np.ndarray:
     return np.unique(np.concatenate(([0.0, fmax], lin, low, high)))
 
 
-def _superlevel_measure(sorted_values, levels, area):
-    """Cell area times the count of sorted values strictly above each level."""
-    return (sorted_values.size - np.searchsorted(sorted_values, levels, side="right")) * area
+def _superlevel_count(sorted_values, levels):
+    """Count of the sorted values strictly above each level."""
+    return sorted_values.size - np.searchsorted(sorted_values, levels, side="right")
 
 
 def distribution_function(f: DistributionField, levels) -> MonotoneProfile:
@@ -101,8 +104,8 @@ def distribution_function(f: DistributionField, levels) -> MonotoneProfile:
     levels = np.asarray(levels, dtype=float)
     if np.any(levels < 0.0):
         raise ValueError("levels must be nonnegative")
-    mu = _superlevel_measure(np.sort(f.values.ravel()), levels, f.grid.cell_area)
-    return MonotoneProfile(levels, mu)
+    count = _superlevel_count(np.sort(f.values.ravel()), levels)
+    return MonotoneProfile(levels, count * f.grid.cell_area)
 
 
 def pseudo_inverse(mu: MonotoneProfile) -> MonotoneProfile:
@@ -188,10 +191,14 @@ def compose_profile(fsharp: MonotoneProfile, phi: Potential) -> DistributionFiel
 def equimeasurability_defect(
     f: DistributionField, g: DistributionField, levels
 ) -> float:
-    """Sup over the levels of |mu_f - mu_g|."""
-    mu_f = distribution_function(f, levels)
-    mu_g = distribution_function(g, levels)
-    return float(np.max(np.abs(mu_f.values - mu_g.values)))
+    """Sup over the levels of |mu_f - mu_g|: the largest difference of the
+    superlevel cell counts, times the cell area."""
+    if f.grid != g.grid:
+        raise ValueError("fields live on different grids")
+    levels = np.asarray(levels, dtype=float)
+    count_f = _superlevel_count(np.sort(f.values.ravel()), levels)
+    count_g = _superlevel_count(np.sort(g.values.ravel()), levels)
+    return float(np.max(np.abs(count_f - count_g), initial=0) * f.grid.cell_area)
 
 
 def level_band_defect(
@@ -200,15 +207,17 @@ def level_band_defect(
     """Equimeasurability defect of g against f up to one-cell-band level slack.
 
     On a grid the boundary of a superlevel set cuts through a band of cells,
-    so levels whose gap is smaller than the variation of f across that band
-    cannot be distinguished by cell counting: moving the threshold across
-    one band shuffles up to a full band of measure between adjacent levels.
-    For each level s this compares mu_g(s) against the closed interval of
-    mu_f values over [s - delta, s + delta], where delta is the drop of the
-    decreasing profile of f across one band of measure on either side of
-    mu_f(s), and returns the sup over levels of the distance to that
-    interval.  Identical fields give 0; genuine measure discrepancies
-    survive at the level of a few cells.
+    one per theta column, so levels whose gap is smaller than the variation
+    of f across that band cannot be distinguished by cell counting: moving
+    the threshold across one band shuffles up to n_theta cells between
+    adjacent levels.  With c_f(s) the count of cells of f strictly above s
+    and f_(k) the k-th largest value of f (from k = 0; zero for k past the
+    last cell), each level s compares c_g(s) against the closed interval
+    [c_f(hi), c_f(lo)], where hi = max(f_(max(c_f(s) - n_theta, 0)), s) and
+    lo = min(f_(c_f(s) + n_theta), s) are the levels one band above and
+    below s.  The result is the largest distance of c_g(s) to its interval,
+    a whole number of cells, times the cell area.  Identical fields give 0;
+    genuine measure discrepancies survive at the level of a few cells.
 
     Only levels whose superlevel sets the velocity box resolves are
     compared.  At level zero the measure is that of the support, and below
@@ -222,7 +231,6 @@ def level_band_defect(
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
     grid = f.grid
-    area = grid.cell_area
     if levels is None:
         levels = level_grid(f)
     levels = np.asarray(levels, dtype=float)
@@ -234,27 +242,16 @@ def level_band_defect(
         return 0.0
 
     sorted_f = np.sort(f.values.ravel())
-    sorted_g = np.sort(g.values.ravel())
-    n_cells = sorted_f.size
-    # One cell band in measure: a boundary crossing every theta column.
-    band = grid.n_theta * area
-
-    def quantile(x):
-        # Value of the k-th largest cell of f at measure depth x, zero past
-        # the support.
-        k = np.floor(x / area).astype(np.int64)
-        out = np.where(k < n_cells,
-                       sorted_f[::-1][np.clip(k, 0, n_cells - 1)], 0.0)
-        return out
-
-    mu_f = _superlevel_measure(sorted_f, levels, area)
-    mu_g = _superlevel_measure(sorted_g, levels, area)
-    hi_level = np.maximum(quantile(np.maximum(mu_f - band, 0.0)), levels)
-    lo_level = np.minimum(quantile(mu_f + band), levels)
-    upper = _superlevel_measure(sorted_f, lo_level, area)
-    lower = _superlevel_measure(sorted_f, hi_level, area)
-    defect = np.maximum(mu_g - upper, lower - mu_g)
-    return float(np.maximum(defect, 0.0).max())
+    # f_(k) for k = 0 .. n_cells, the last entry past every cell
+    ranked = np.append(sorted_f[::-1], 0.0)
+    count_f = _superlevel_count(sorted_f, levels)
+    count_g = _superlevel_count(np.sort(g.values.ravel()), levels)
+    band = grid.n_theta
+    hi_level = np.maximum(ranked[np.maximum(count_f - band, 0)], levels)
+    lo_level = np.minimum(ranked[np.minimum(count_f + band, sorted_f.size)], levels)
+    defect = np.maximum(count_g - _superlevel_count(sorted_f, lo_level),
+                        _superlevel_count(sorted_f, hi_level) - count_g)
+    return float(max(defect.max(), 0) * grid.cell_area)
 
 
 # ---------------------------------------------------------------------------

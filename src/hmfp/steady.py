@@ -128,7 +128,11 @@ def _beta_half(m: float) -> float:
 def _power_coefficient(k: float, ps: float) -> float:
     """2 sqrt(2) B(k) (p s)**(-k): the velocity integral of a power profile
     of order k, per (lambda - phi)_+**(k + 1/2)."""
-    return 2.0 * math.sqrt(2.0) * _beta_half(k) * ps ** (-k)
+    try:
+        return 2.0 * math.sqrt(2.0) * _beta_half(k) * ps ** (-k)
+    except OverflowError:
+        raise ValueError("the velocity-integral coefficient (p|mu|)**-k "
+                         f"overflows at p|mu| = {ps:g}, k = {k:g}") from None
 
 
 def _section_sum(phi: Potential, x, k: float, ps: float):
@@ -140,7 +144,8 @@ def _section_sum(phi: Potential, x, k: float, ps: float):
     map; with ps = 1, k = 0 gives the sublevel measure of the microscopic
     energy at x and k = 1 its antiderivative in x.  x is a scalar or an
     array, broadcast against a trailing theta axis.  As in float arithmetic,
-    an overflowing sum gives inf, and times an underflowed coefficient NaN.
+    an overflowing sum gives inf, and times an underflowed coefficient NaN;
+    a coefficient that overflows raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     gap = np.maximum(x[..., np.newaxis] - phi.values, 0.0)
@@ -245,8 +250,11 @@ def _section_sum_inverse(phi: Potential, target, k: float, ps: float):
     and max phi, 2 pi c (x - phi)_+**(k + 1/2), so the root lies in [min
     phi, max phi] + (target / (2 pi c))**(1/(k + 1/2)) for every potential;
     for the sublevel measure (k = 0, ps = 1) and target s the offset is
-    s**2/(32 pi**2).  target is a scalar or an array of nonnegative values.
+    s**2/(32 pi**2).  target is a scalar or an array of nonnegative values;
+    a negative or NaN target raises ValueError.
     """
+    if not np.all(np.greater_equal(target, 0.0)):
+        raise ValueError("section sum targets must be nonnegative")
     offset = (target / (TWO_PI * _power_coefficient(k, ps))) ** (1.0 / (k + 0.5))
     return _bisect(lambda x: _section_sum(phi, x, k, ps) < target,
                    float(phi.values.min()) + offset, float(phi.values.max()) + offset)

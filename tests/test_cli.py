@@ -487,14 +487,16 @@ POWER2_16 = ("grid.n_theta = 16\ngrid.n_v = 16\ncasimir = power:2\n"
 # numpy still warns on stderr about the overflow in the diag and rearrange
 # rows before the one line
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("command, keys", [
-    ("diag", ""),
-    ("rearrange", ""),
+@pytest.mark.parametrize("command, keys, message", [
+    ("diag", "", "hmfp: "),
+    ("rearrange", "", "hmfp: "),
     # p |mu| underflows, and (p |mu|)**-k overflows
-    ("steady", POWER2_16 + "constraints.m1 = 1e200\n"),
+    ("steady", POWER2_16 + "constraints.m1 = 1e200\n",
+     "hmfp: the velocity-integral coefficient (p|mu|)**-k overflows at "
+     "p|mu| = "),
 ], ids=["diag", "rearrange", "steady"])
 def test_overflow_exits_one_with_an_hmfp_line(tmp_path, monkeypatch, capsys,
-                                              command, keys):
+                                              command, keys, message):
     monkeypatch.chdir(tmp_path)
     args = [command, "--config", write_cfg(tmp_path, keys)]
     if command != "steady":
@@ -504,7 +506,7 @@ def test_overflow_exits_one_with_an_hmfp_line(tmp_path, monkeypatch, capsys,
     assert main(args) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.splitlines()[-1].startswith("hmfp: ")
+    assert err.splitlines()[-1].startswith(message)
     assert run_dirs(tmp_path) == []
 
 

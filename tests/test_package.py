@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -16,6 +19,30 @@ def test_package_exposes_only_submodules_and_version():
               and not isinstance(value, types.ModuleType)]
     assert public == []
     assert isinstance(hmfp.__version__, str)
+
+
+# Imports every hmfp module and prints the top-level modules that the imports
+# loaded beyond those present at interpreter start (site .pth files may load
+# some there) and the standard library.
+_NEW_TOP_LEVEL_MODULES = """
+import importlib, pkgutil, sys
+def top_level():
+    return {name.partition(".")[0] for name in sys.modules}
+before = top_level()
+import hmfp
+for info in pkgutil.iter_modules(hmfp.__path__):
+    importlib.import_module("hmfp." + info.name)
+print(" ".join(sorted(top_level() - before - set(sys.stdlib_module_names))))
+"""
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _NEW_TOP_LEVEL_MODULES],
+                         env=env, capture_output=True, text=True, check=True)
+    assert set(out.stdout.split()) <= {"hmfp", "numpy"}, out.stdout
 
 
 def _load_bench(name):

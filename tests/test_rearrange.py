@@ -217,8 +217,20 @@ def test_convex_B_flat_closed_form():
             mu ** 3 / (96.0 * math.pi ** 2), abs=1e-10 * max(1.0, mu ** 3)
         )
     assert convex_B(phi, 0.0) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mu must be nonnegative"):
         convex_B(phi, -1.0)
+
+
+@pytest.mark.parametrize("s", [-5.0, math.nan, [1.0, -1.0], [math.nan, 2.0]],
+                         ids=["negative", "nan", "negative-entry", "nan-entry"])
+def test_inverse_measure_rejects_a_negative_or_nan_target(s):
+    # a negative target once came back as an energy whose measure is positive
+    phi = cosine_potential(make_grid(16, 16, 6.0), a=0.3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        inverse_sublevel_measure(phi, s)
+    if np.ndim(s) == 0:
+        with pytest.raises(ValueError):
+            convex_B(phi, s)
 
 
 def test_convex_B_is_convex_in_mu():
@@ -294,6 +306,111 @@ def test_raw_defect_zero_against_itself():
     g = make_grid(32, 32, 6.0)
     f = smooth_random_field(g, seed=55)
     assert equimeasurability_defect(f, f, level_grid(f)) == 0.0
+    # as for level_band_defect with no level left to compare
+    assert equimeasurability_defect(f, f, []) == 0.0
+
+
+@pytest.mark.parametrize("seed", [205, 215, 218])
+def test_band_defect_of_a_flat_rearrangement_is_zero(seed):
+    # criterion 3's 64^2 fields with the zero potential, where a float
+    # round trip through the measure once read two cells
+    g = make_grid(64, 64, 6.0)
+    f = smooth_random_field(g, seed)
+    ladder = level_grid(f, (g.n_theta * g.n_v) // 4)
+    out = rearrange_with_energy(f, flat_potential(g), ladder)
+    assert level_band_defect(f, out, ladder) == 0.0
+
+
+def _band_defect_by_definition(f, g, levels):
+    """level_band_defect's docstring, one level and one cell at a time."""
+    grid = f.grid
+    f_cells = [float(x) for x in f.values.ravel()]
+    g_cells = [float(x) for x in g.values.ravel()]
+    edge = [float(row[0]) for row in f.values] + [float(row[-1]) for row in f.values]
+    edge += [float(row[0]) for row in g.values] + [float(row[-1]) for row in g.values]
+    floor = max(max(edge), 0.0)
+    ranked = sorted(f_cells, reverse=True)
+
+    def above(cells, s):
+        return sum(1 for x in cells if x > s)
+
+    def kth_largest(k):
+        return ranked[k] if k < len(ranked) else 0.0
+
+    worst = 0
+    for s in levels:
+        if not s > floor:
+            continue
+        count_f, count_g = above(f_cells, s), above(g_cells, s)
+        hi = max(kth_largest(max(count_f - grid.n_theta, 0)), s)
+        lo = min(kth_largest(count_f + grid.n_theta), s)
+        worst = max(worst, count_g - above(f_cells, lo), above(f_cells, hi) - count_g)
+    return worst * grid.cell_area
+
+
+def _ragged_pair(n_theta, n_v, v_max, seed, kind):
+    """A field of few distinct values, so levels and counts tie, with empty
+    edge rows, and a partner field: its rearrangement, f with n_theta
+    interior cells rescaled, or an unrelated field of the same kind."""
+    rng = np.random.default_rng(seed)
+    grid = make_grid(n_theta, n_v, v_max)
+
+    def ragged():
+        values = rng.integers(0, 5, (n_theta, n_v)) * rng.uniform(0.1, 3.0)
+        values[:, [0, -1]] = 0.0
+        return DistributionField(grid, values)
+
+    f = ragged()
+    if kind == "rearranged":
+        g = rearrange_with_energy(f, solve_potential(f), level_grid(f, f.values.size // 4))
+    elif kind == "perturbed":
+        values = f.values.copy()
+        rows = rng.integers(0, n_theta, n_theta)
+        cols = rng.integers(1, n_v - 1, n_theta)
+        values[rows, cols] *= rng.uniform(0.0, 2.0, n_theta)
+        g = DistributionField(grid, values)
+    else:
+        g = ragged()
+    return f, g
+
+
+PAIR_DRAWS = dict(n_theta=st.integers(8, 12), n_v=st.integers(8, 12),
+                  v_max=st.floats(0.5, 8.0), seed=st.integers(0, 2 ** 32 - 1),
+                  kind=st.sampled_from(["rearranged", "perturbed", "unrelated"]))
+
+
+# a float floor of the band depth once read 3 cells for a true 0 and 16
+# for a true 23 on these two pairs
+@example(n_theta=8, n_v=8, v_max=6.0, seed=128, kind="rearranged", extra=[])
+@example(n_theta=8, n_v=8, v_max=6.0, seed=141, kind="unrelated", extra=[])
+@settings(max_examples=100, deadline=None)
+@given(**PAIR_DRAWS, extra=st.lists(st.floats(0.0, 10.0), max_size=8))
+def test_level_band_defect_matches_its_definition_bitwise(n_theta, n_v, v_max,
+                                                          seed, kind, extra):
+    f, g = _ragged_pair(n_theta, n_v, v_max, seed, kind)
+    levels = np.concatenate((level_grid(f, f.values.size // 4), extra))
+    want = _band_defect_by_definition(f, g, levels)
+    got = level_band_defect(f, g, levels)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(**PAIR_DRAWS)
+def test_both_defects_are_whole_numbers_of_cells(n_theta, n_v, v_max, seed, kind):
+    f, g = _ragged_pair(n_theta, n_v, v_max, seed, kind)
+    levels = level_grid(f, f.values.size // 4)
+    area = f.grid.cell_area
+    for defect in (level_band_defect(f, g, levels),
+                   equimeasurability_defect(f, g, levels)):
+        assert defect == round(defect / area) * area
+
+
+def test_equimeasurability_defect_rejects_fields_on_two_grids():
+    f = smooth_random_field(make_grid(16, 16, 6.0), seed=56)
+    g = smooth_random_field(make_grid(16, 16, 5.0), seed=56)
+    with pytest.raises(ValueError, match="different grids"):
+        equimeasurability_defect(f, g, level_grid(f))
 
 
 def test_pairing_identity_profile_vs_bands():
