@@ -6,7 +6,8 @@ Commands: steady, evolve, stability, rearrange, diag.  --input is read
 once and shared by every run.  A sweep fans the run out over the listed
 values of one config key, each variant isolated in its own directory,
 named by the hash of its config, the command and the input's bytes;
-HMFP_THREADS caps the worker pool, and the variants' result lines come
+the worker pool has one thread per CPU this process may run on, capped
+by HMFP_THREADS, and the variants' result lines come
 in the listed order.  Exit codes: 0 success, 1 a bad command line,
 config or I/O trouble, a number out of range, or too little memory, 2
 an iterative solve failed to converge, 3 the time integrator aborted.  A
@@ -64,8 +65,11 @@ def _hold_freed_heap():
 
 def _worker_count(n_jobs):
     raw = os.environ.get("HMFP_THREADS", "")
+    # the CPUs this process may run on, where the platform can tell
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
     try:
-        cap = int(raw) if raw else (os.cpu_count() or 1)
+        cap = int(raw) if raw else usable
     except ValueError:
         raise ConfigError("HMFP_THREADS must be an integer, got %r" % raw)
     return max(1, min(n_jobs, cap))

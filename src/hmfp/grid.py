@@ -142,6 +142,17 @@ class Potential:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "derivative", derivative)
 
+    def roll(self, shift: int) -> Potential:
+        """This potential translated by shift theta nodes, bit for bit: the
+        mean is not subtracted again, which could move the last bits."""
+        out = object.__new__(Potential)
+        object.__setattr__(out, "grid", self.grid)
+        for name in ("values", "derivative"):
+            rolled = np.roll(getattr(self, name), shift)
+            rolled.flags.writeable = False
+            object.__setattr__(out, name, rolled)
+        return out
+
     def __repr__(self) -> str:
         return f"Potential(grid={self.grid!r}, range={np.ptp(self.values):.6g})"
 

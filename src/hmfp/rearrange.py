@@ -150,20 +150,17 @@ def inverse_sublevel_measure(phi: Potential, s):
 
 
 def rearrange_with_energy(
-    f: DistributionField, phi: Potential, levels=None
+    f: DistributionField, phi: Potential, levels
 ) -> DistributionField:
     """Rearrangement of f that is nonincreasing in the microscopic energy.
 
     Composes the pseudo-inverse of the distribution function of f, sampled
-    at the given levels (by default the hybrid ladder level_grid(f)), with
-    the sublevel measure of v**2/2 + phi(theta), pointwise on the grid.  A
-    denser ladder tightens the level quantization of the output; the
-    default keeps it at four levels per velocity cell.
+    at the given levels (such as the hybrid ladder level_grid(f)), with the
+    sublevel measure of v**2/2 + phi(theta), pointwise on the grid.  A
+    denser ladder tightens the level quantization of the output.
     """
     if f.grid != phi.grid:
         raise ValueError("field and potential live on different grids")
-    if levels is None:
-        levels = level_grid(f)
     return compose_profile(pseudo_inverse(distribution_function(f, levels)), phi)
 
 
@@ -172,15 +169,16 @@ def compose_profile(fsharp: MonotoneProfile, phi: Potential) -> DistributionFiel
 
     The profile is evaluated once per theta node and distinct kinetic
     energy v**2/2, then scattered to the velocity columns that share it.
-    The sublevel measure is evaluated on 8192 energies at a time, so each
-    of its temporaries holds 8192 x n_theta floats (32 MiB at 512^2)
-    instead of the whole (energies x n_theta) broadcast (512 MiB there).
+    The sublevel measure is evaluated on 2**20 // n_theta energies at a
+    time, so each of its (energies x n_theta) temporaries holds at most
+    2**20 floats (8 MiB) at every grid size, instead of the whole
+    broadcast (512 MiB at 512^2).
     """
     grid = phi.grid
     kinetic, column = np.unique(0.5 * grid.v ** 2, return_inverse=True)
     e = (kinetic[np.newaxis, :] + phi.values[:, np.newaxis]).ravel()
     out = np.empty_like(e)
-    chunk = 8192
+    chunk = max(1, 2 ** 20 // grid.n_theta)
     for start in range(0, e.size, chunk):
         out[start : start + chunk] = fsharp.evaluate(
             sublevel_measure_a(phi, e[start : start + chunk])
@@ -202,7 +200,7 @@ def equimeasurability_defect(
 
 
 def level_band_defect(
-    f: DistributionField, g: DistributionField, levels=None
+    f: DistributionField, g: DistributionField, levels
 ) -> float:
     """Equimeasurability defect of g against f up to one-cell-band level slack.
 
@@ -231,8 +229,6 @@ def level_band_defect(
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
     grid = f.grid
-    if levels is None:
-        levels = level_grid(f)
     levels = np.asarray(levels, dtype=float)
     edge_rows = (0, grid.n_v - 1)
     floor = max(float(f.values[:, edge_rows].max()),
@@ -342,16 +338,7 @@ def equimeasurable_minimize(
 
     def update(phi):
         field = compose_profile(fsharp, phi)
-        return solve_potential(field), field
+        return solve_potential(field), field, None
 
-    phi, field, iterations, residual = _damped_fixed_point(
-        solve_potential(f0), update, damping, tol, max_iter,
-        "equimeasurable minimization",
-    )
-    return SteadyStateResult(
-        field=field,
-        potential=phi,
-        multipliers=None,
-        fixed_point_residual=residual,
-        iterations=iterations,
-    )
+    return _damped_fixed_point(solve_potential(f0), update, damping, tol, max_iter,
+                               "equimeasurable minimization")

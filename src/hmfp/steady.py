@@ -30,7 +30,7 @@ single root, bracketed by its own search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,11 +82,12 @@ def _check_constraint(name, value):
 
 @dataclass(frozen=True)
 class SteadyStateResult:
-    """Converged self-consistent state with its convergence report."""
+    """Converged fixed-point state with its convergence report; multipliers
+    is None for the equimeasurable minimizer."""
 
     field: DistributionField
     potential: Potential
-    multipliers: Multipliers
+    multipliers: Multipliers | None
     fixed_point_residual: float
     iterations: int
 
@@ -382,19 +383,20 @@ def _check_fixed_point_settings(damping, tol, max_iter):
 def _damped_fixed_point(phi0, update, damping, tol, max_iter, what, hint=""):
     """Damped fixed-point iteration phi <- (1 - damping) phi + damping phi_F.
 
-    update(phi) returns (phi_F, payload).  The iteration stops at the first
-    phi whose defect sup|phi_F - phi| is at most tol and returns (phi,
-    payload, iterations, damping * defect); past max_iter steps it raises
-    ConvergenceError naming `what`, followed by `hint`.
+    update(phi) returns (phi_F, field, multipliers).  The iteration stops at
+    the first phi whose defect sup|phi_F - phi| is at most tol and returns
+    SteadyStateResult(field, phi, multipliers, damping * defect,
+    iterations); past max_iter steps it raises ConvergenceError naming
+    `what`, followed by `hint`.
     """
     _check_fixed_point_settings(damping, tol, max_iter)
     g = phi0.grid
     phi = phi0
     for iterations in range(1, max_iter + 1):
-        phi_f, payload = update(phi)
+        phi_f, field, multipliers = update(phi)
         defect = float(np.max(np.abs(phi_f.values - phi.values)))
         if defect <= tol:
-            return phi, payload, iterations, damping * defect
+            return SteadyStateResult(field, phi, multipliers, damping * defect, iterations)
         phi = Potential(
             g,
             (1.0 - damping) * phi.values + damping * phi_f.values,
@@ -427,33 +429,22 @@ def self_consistent_solve(
         max_iter: iteration cap (at least 1), raising ConvergenceError past it.
 
     Returns:
-        SteadyStateResult with the field, its potential, multipliers, the
-        final increment sup-norm and the iteration count.  The state is
-        rolled so the potential minimum sits at theta = pi, fixing the
-        translation freedom.
+        The fixed-point driver's SteadyStateResult, rolled so the potential
+        minimum sits at theta = pi, fixing the translation freedom.
     """
     def update(phi):
         mult = solve_state_multipliers(phi, spec, constraints)
         field = build_F_phi(phi, spec, mult)
-        return solve_potential(field), (mult, field)
+        return solve_potential(field), field, mult
 
-    phi, (mult, field), iterations, residual = _damped_fixed_point(
+    res = _damped_fixed_point(
         seed_potential, update, damping, tol, max_iter,
         "self-consistent iteration", "; consider a smaller damping",
     )
-    g = phi.grid
-    shift = (g.n_theta // 2 - int(np.argmin(phi.values))) % g.n_theta
-    return SteadyStateResult(
-        field=DistributionField(g, np.roll(field.values, shift, axis=0)),
-        potential=Potential(
-            g,
-            np.roll(phi.values, shift),
-            np.roll(phi.derivative, shift),
-        ),
-        multipliers=mult,
-        fixed_point_residual=residual,
-        iterations=iterations,
-    )
+    g = res.field.grid
+    shift = (g.n_theta // 2 - int(np.argmin(res.potential.values))) % g.n_theta
+    return replace(res, field=DistributionField(g, np.roll(res.field.values, shift, axis=0)),
+                   potential=res.potential.roll(shift))
 
 
 # ---------------------------------------------------------------------------

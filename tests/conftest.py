@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: deterministic random fields and
-common reference profiles.  Everything here is seeded, so any test that
-imports from this module is reproducible run to run.
+common reference profiles, and the acceptance verdicts' summary.
+Everything here is seeded, so any test that imports from this module is
+reproducible run to run.
 """
 
 import math
@@ -11,6 +12,16 @@ from hmfp.grid import DistributionField, make_grid
 
 TWO_PI = 2.0 * math.pi
 SQRT_TWO_PI = math.sqrt(TWO_PI)
+
+# one line per acceptance criterion run, in the order they ran
+VERDICTS = []
+
+
+def pytest_terminal_summary(terminalreporter):
+    if VERDICTS:
+        terminalreporter.section("acceptance verdicts")
+        for line in VERDICTS:
+            terminalreporter.write_line(line)
 
 
 def smooth_random_field(grid, seed, floor=0.0):

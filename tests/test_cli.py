@@ -736,6 +736,17 @@ def test_sweep_sharing_a_run_directory_exits_one(tmp_path, monkeypatch, capsys,
     assert run_dirs(tmp_path) == []
 
 
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    """A process pinned to one of two CPUs gets one worker, not two."""
+    monkeypatch.delenv("HMFP_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert hmfp.cli._worker_count(4) == 1
+    # without an affinity call the CPU count is all there is to go by
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert hmfp.cli._worker_count(4) == 2
+
+
 def test_bad_thread_cap_exits_one(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("HMFP_THREADS", "plenty")

@@ -285,6 +285,18 @@ def test_potential_validation():
         Potential(g, vals, np.zeros(16))
 
 
+def test_potential_roll_keeps_its_bits():
+    """Centring the translate again can move its last bits; roll does not."""
+    g = make_grid(32, 16, 4.0)
+    rng = np.random.default_rng(7)
+    phi = Potential(g, rng.normal(size=32), rng.normal(size=32))
+    moved = phi.roll(16)
+    assert moved.grid == g
+    assert moved.values.tobytes() == np.roll(phi.values, 16).tobytes()
+    assert moved.derivative.tobytes() == np.roll(phi.derivative, 16).tobytes()
+    assert not (moved.values.flags.writeable or moved.derivative.flags.writeable)
+
+
 # The checks each value type ran on its own before they shared one helper,
 # kept verbatim as the reference for the property below.
 def reference_field(grid, values):

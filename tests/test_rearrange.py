@@ -250,7 +250,7 @@ def test_convex_B_is_convex_in_mu():
 def test_rearrangement_with_flat_potential_is_symmetric_decreasing():
     g = make_grid(32, 64, 6.0)
     f = smooth_random_field(g, seed=50)
-    out = rearrange_with_energy(f, flat_potential(g))
+    out = rearrange_with_energy(f, flat_potential(g), level_grid(f))
     # theta-independent
     assert np.max(np.abs(out.values - out.values[0][None, :])) == 0.0
     # even and nonincreasing in |v|
@@ -269,7 +269,7 @@ def test_rearrangement_preserves_mass_approximately():
         out = rearrange_with_energy(f, phi, level_grid(f, (64 * 64) // 4))
         assert abs(mass(out) - mass(f)) <= tol
         # the default coarser ladder stays within a few bounds of it
-        loose = rearrange_with_energy(f, phi)
+        loose = rearrange_with_energy(f, phi, level_grid(f))
         assert abs(mass(loose) - mass(f)) <= 3.0 * tol
 
 
@@ -277,17 +277,17 @@ def test_rearrangement_is_equimeasurable_up_to_one_cell_band():
     g = make_grid(64, 64, 6.0)
     f = smooth_random_field(g, seed=52)
     for phi in (flat_potential(g), solve_potential(f)):
-        out = rearrange_with_energy(f, phi)
-        assert level_band_defect(f, out) == 0.0
+        out = rearrange_with_energy(f, phi, level_grid(f))
+        assert level_band_defect(f, out, level_grid(f)) == 0.0
 
 
 def test_rearrangement_idempotent_at_fixed_potential():
     g = make_grid(64, 64, 6.0)
     f = smooth_random_field(g, seed=53)
     phi = solve_potential(f)
-    once = rearrange_with_energy(f, phi)
-    twice = rearrange_with_energy(once, phi)
-    assert level_band_defect(once, twice) == 0.0
+    once = rearrange_with_energy(f, phi, level_grid(f))
+    twice = rearrange_with_energy(once, phi, level_grid(once))
+    assert level_band_defect(once, twice, level_grid(once)) == 0.0
     # the second pass only requantizes the ladder
     gap = float(np.max(np.abs(twice.values - once.values)))
     assert gap <= 6.0 * float(np.max(np.diff(level_grid(once))))
@@ -296,10 +296,10 @@ def test_rearrangement_idempotent_at_fixed_potential():
 def test_level_band_defect_discriminates():
     g = make_grid(64, 64, 6.0)
     f = smooth_random_field(g, seed=54)
-    same = level_band_defect(f, f)
+    same = level_band_defect(f, f, level_grid(f))
     assert same == 0.0
     scaled = DistributionField(g, 1.1 * f.values)
-    assert level_band_defect(f, scaled) > 4.0 * g.cell_area
+    assert level_band_defect(f, scaled, level_grid(f)) > 4.0 * g.cell_area
 
 
 def test_raw_defect_zero_against_itself():
@@ -458,7 +458,7 @@ def test_rearrangement_does_not_increase_the_pairing():
     g = make_grid(64, 64, 6.0)
     f = smooth_random_field(g, seed=63)
     phi = solve_potential(f)
-    out = rearrange_with_energy(f, phi)
+    out = rearrange_with_energy(f, phi, level_grid(f))
     assert microscopic_energy_pairing(out, phi) <= microscopic_energy_pairing(
         f, phi
     ) + 1e-10
@@ -523,6 +523,26 @@ def test_compose_profile_matches_the_per_cell_evaluation_bitwise(shape, potentia
     assert got.tobytes() == _compose_per_cell(fsharp, g, phi).tobytes()
 
 
+def test_compose_profile_temporaries_stay_below_a_million_floats(monkeypatch):
+    """Each sublevel-measure call takes at most 2**20 // n_theta energies,
+    so its (energies x n_theta) temporaries hold at most 2**20 floats."""
+    g = make_grid(512, 64, 6.0)
+    phi = cosine_potential(g)
+    f = maxwellian(g, TWO_PI)
+    fsharp = pseudo_inverse(distribution_function(f, level_grid(f)))
+    sizes = []
+
+    def recording(p, e):
+        sizes.append(np.size(e))
+        return sublevel_measure_a(p, e)
+
+    monkeypatch.setattr("hmfp.rearrange.sublevel_measure_a", recording)
+    compose_profile(fsharp, phi)
+    # every theta node against every distinct kinetic energy, once
+    assert sum(sizes) == g.n_theta * np.unique(0.5 * g.v ** 2).size
+    assert max(sizes) <= 2 ** 20 // g.n_theta
+
+
 def test_equimeasurable_minimize_homogeneous_fixed_point():
     g = make_grid(48, 48, 6.0)
     f0 = maxwellian(g, TWO_PI)
@@ -531,7 +551,7 @@ def test_equimeasurable_minimize_homogeneous_fixed_point():
     assert res.iterations == 1
     assert np.max(np.abs(res.potential.values)) <= 1e-12
     # the fixed point is the flat-potential rearrangement of f0 itself
-    base = rearrange_with_energy(f0, flat_potential(g))
+    base = rearrange_with_energy(f0, flat_potential(g), level_grid(f0))
     assert np.array_equal(res.field.values, base.values)
 
 
@@ -539,7 +559,7 @@ def test_equimeasurable_minimize_preserves_the_orbit():
     g = make_grid(48, 48, 6.0)
     f0 = smooth_random_field(g, seed=64)
     res = equimeasurable_minimize(f0, damping=0.5, tol=1e-8, max_iter=5000)
-    assert level_band_defect(f0, res.field) == 0.0
+    assert level_band_defect(f0, res.field, level_grid(f0)) == 0.0
     assert hamiltonian(res.field) <= hamiltonian(f0) + 1e-8
     spec = entropy_spec()
     tol = 4.0 * g.cell_area * float(f0.values.max())

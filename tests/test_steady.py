@@ -22,7 +22,8 @@ from hmfp.functionals import (
 )
 from hmfp.grid import DistributionField, Potential, make_grid
 from hmfp.interaction import solve_potential
-from hmfp.rearrange import equimeasurable_minimize
+from hmfp.rearrange import (compose_profile, distribution_function,
+                            equimeasurable_minimize, level_grid, pseudo_inverse)
 from hmfp.steady import (
     ConstraintSet,
     Multipliers,
@@ -467,6 +468,33 @@ def test_two_constraint_mu_identity():
     mom = profile_moments(res.potential, spec, res.multipliers)
     mu_pred = -mom.kinetic_moment / (mom.inner_product - mom.casimir)
     assert res.multipliers.mu == pytest.approx(mu_pred, rel=1e-6)
+
+
+# each minimizer's field is the profile of its own potential, bit for bit,
+# and its residual is the damped increment of a converged step
+@pytest.mark.parametrize("spec, cons", [
+    (entropy_spec(), ConstraintSet(m1=4.0 * math.pi)),
+    (power_spec(2.0), ConstraintSet(m1=POWER2_M1, mj=POWER2_MJ)),
+], ids=["entropy", "power2-two-constraint"])
+def test_self_consistent_field_is_the_profile_of_its_potential(spec, cons):
+    g = make_grid(32, 32, 6.0)
+    # the seed well sits at theta = 0, so the result is rolled by n_theta / 2
+    res = self_consistent_solve(spec, cons, seed_potential(g, 0.5))
+    assert int(np.argmin(res.potential.values)) == g.n_theta // 2
+    F = build_F_phi(res.potential, spec, res.multipliers)
+    assert F.values.tobytes() == res.field.values.tobytes()
+    assert res.fixed_point_residual <= 0.5 * 1e-9
+
+
+def test_equimeasurable_field_is_the_profile_of_its_potential():
+    g = make_grid(32, 32, 6.0)
+    f0 = smooth_random_field(g, seed=64)
+    res = equimeasurable_minimize(f0, damping=0.5, tol=1e-8, max_iter=5000)
+    fsharp = pseudo_inverse(distribution_function(f0, level_grid(f0)))
+    composed = compose_profile(fsharp, res.potential)
+    assert composed.values.tobytes() == res.field.values.tobytes()
+    assert res.multipliers is None
+    assert res.fixed_point_residual <= 0.5 * 1e-8
 
 
 def test_nonconvergence_raises():
