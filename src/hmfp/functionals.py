@@ -13,7 +13,7 @@ is an identity of the implementation, not a numerical coincidence.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -215,11 +215,11 @@ def diagnostics(f: DistributionField, spec: CasimirSpec, time: float = 0.0) -> D
 
 
 def write_diagnostics_csv(records, path) -> None:
-    """Write records to CSV with the canonical header line."""
+    """Write records to CSV: the canonical header line, then each record's
+    to_csv line, the one formatter of a diagnostics row."""
     with _atomic_write(path) as fh:
-        np.savetxt(fh, [astuple(rec) for rec in records], fmt="%.17g",
-                   delimiter=",", header=DiagnosticsRecord.CSV_HEADER,
-                   comments="")
+        fh.write(DiagnosticsRecord.CSV_HEADER + "\n")
+        fh.writelines(rec.to_csv() + "\n" for rec in records)
 
 
 def read_diagnostics_csv(path) -> list[DiagnosticsRecord]:

@@ -44,7 +44,9 @@ class SolverConfig:
             raise ValueError("t_end must be finite and nonnegative")
         if self.interpolation not in (LINEAR, CUBIC):
             raise ValueError("interpolation must be 'linear' or 'cubic'")
-        if int(self.record_every) != self.record_every or self.record_every < 1:
+        # the bounds come first: int() of inf or NaN raises its own error
+        if not (1 <= self.record_every < np.inf
+                and int(self.record_every) == self.record_every):
             raise ValueError("record_every must be a positive integer")
 
 
@@ -92,24 +94,6 @@ def _weights(u, interpolation):
             (2, (u + 1.0) * u * (u - 1.0) / 6.0))
 
 
-def _interpolate(take, stencil, out, spare):
-    """Write the sum of weight * node over the stencil into out.
-
-    take(k, buf) returns the samples k nodes past the lower node, gathered
-    into buf or into an array of its own; out takes the first node, spare
-    each later one.  Each product and the left-to-right order of the sum
-    are those of the expression w0 * x0 + w1 * x1 + ..., so out holds its
-    bits.
-    """
-    k, weight = stencil[0]
-    np.multiply(weight, take(k, out), out=out)
-    for k, weight in stencil[1:]:
-        node = take(k, spare)
-        np.multiply(weight, node, out=node)
-        np.add(out, node, out=out)
-    return out
-
-
 @functools.lru_cache(maxsize=8)
 def _theta_stencil(grid, dt):
     """Flat gather index and stencils of the theta shift by v*dt.
@@ -145,22 +129,19 @@ class _StepField(NamedTuple):
 class _Workspace:
     """The step buffers of one evolve call on one grid.
 
-    wrapped holds the state in rows 1..n_theta; before each theta
-    advection row 0 takes a copy of the last state row and rows
-    n_theta + 1 and n_theta + 2 of the first two, so stencil node k of
-    the lower node lies k + 1 rows in and one gather index serves every
-    node.  Theta advection writes to half, v advection to the state rows;
-    product holds each stencil node after the first while it is weighted,
-    and padded, the zero-guarded copy that v advection reads, only ever
-    grows.
+    Theta advection writes to half, v advection to state; product holds
+    each weighted stencil node, and in linear mode the theta gather too.
+    gather, the cubic theta gather, is allocated by the first cubic theta
+    advection, and padded, the zero-guarded copy that v advection reads,
+    only ever grows.
     """
 
     def __init__(self, grid):
         shape = (grid.n_theta, grid.n_v)
-        self.wrapped = np.empty((grid.n_theta + 3, grid.n_v))
-        self.state = self.wrapped[1:grid.n_theta + 1]
+        self.state = np.empty(shape)
         self.half = np.empty(shape)
         self.product = np.empty(shape)
+        self.gather = None
         self.padded = np.zeros((grid.n_theta, 0))
 
 
@@ -179,24 +160,36 @@ def advect_theta(f, dt, interpolation=LINEAR, work=None):
     clipping is absorbed by the same rescale.  With evolve's workspace the
     result is a view of its half buffer; without one the same kernel runs
     on fresh buffers and returns a DistributionField.
+
+    The stencil index is reduced modulo n_theta and every weight is per v
+    column, so stencil node k at row i is node 0 at row (i + k) mod
+    n_theta: node 0 is gathered once, and each weighted node enters out as
+    two contiguous row slices.  evolve passes half back in as f, so the
+    gather and the cubic column sums are taken before out is written.
     """
     grid = f.grid
-    n_theta, n_v = grid.n_theta, grid.n_v
+    n = grid.n_theta
     ws = _Workspace(grid) if work is None else work
     index, stencils = _theta_stencil(grid, dt)
-    values = ws.state
-    if f.values is not values:
-        values[...] = f.values
-    wrapped = ws.wrapped
-    wrapped[0] = wrapped[n_theta]
-    wrapped[n_theta + 1:] = wrapped[1:3]
-    flat = wrapped.ravel()
-    out = _interpolate(
-        lambda k, buf: flat[n_v * (k + 1):].take(index, out=buf, mode="clip"),
-        stencils[interpolation], ws.half, ws.product)
+    node = ws.product
+    if interpolation != LINEAR:
+        if ws.gather is None:
+            ws.gather = np.empty_like(ws.product)
+        node = ws.gather
+        old = f.values.sum(axis=0)
+    f.values.ravel().take(index, out=node, mode="clip")
+    out = ws.half
+    (k, weight), *rest = stencils[interpolation]
+    m = k % n
+    np.multiply(weight, node[m:], out=out[:n - m])
+    np.multiply(weight, node[:m], out=out[n - m:])
+    for k, weight in rest:
+        m = k % n
+        weighted = np.multiply(weight, node, out=ws.product)
+        out[:n - m] += weighted[m:]
+        out[n - m:] += weighted[:m]
     if interpolation != LINEAR:
         np.maximum(out, 0.0, out=out)
-        old = values.sum(axis=0)
         new = out.sum(axis=0)
         scale = np.where(new > 0.0, old / np.where(new > 0.0, new, 1.0), 1.0)
         out *= scale[None, :]
@@ -209,7 +202,7 @@ def advect_v(f, phi_prime, dt, interpolation=LINEAR, work=None):
     The departure velocity of node j in column i is v_j + phi'_i dt;
     values beyond the velocity box count as zero, so mass drains through
     the open ends.  Returns the new field together with StepLosses; with
-    evolve's workspace the field is a view of its state rows, without one
+    evolve's workspace the field is a view of its state buffer, without one
     a DistributionField built from fresh buffers.
     """
     grid = f.grid
@@ -234,12 +227,13 @@ def advect_v(f, phi_prime, dt, interpolation=LINEAR, work=None):
     windows = sliding_window_view(ws.padded, n_v, axis=1)
     rows = np.arange(grid.n_theta)
     start = base + pad
-
-    def take(k, buf):
-        return windows[rows, start + k]
-
-    out = _interpolate(take, _weights(u[:, None], interpolation), ws.state,
-                       ws.product)
+    # each node is a fresh gather; weighting it in place and summing left
+    # to right keeps the bits of w0 * x0 + w1 * x1 + ...
+    (k, weight), *rest = _weights(u[:, None], interpolation)
+    out = np.multiply(weight, windows[rows, start + k], out=ws.state)
+    for k, weight in rest:
+        node = windows[rows, start + k]
+        out += np.multiply(weight, node, out=node)
     clipped = 0.0
     if interpolation != LINEAR:
         negative = np.minimum(out, 0.0, out=ws.product)

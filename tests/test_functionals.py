@@ -263,6 +263,31 @@ def test_diagnostics_csv_round_trip(tmp_path):
     assert header == DiagnosticsRecord.CSV_HEADER
 
 
+def test_diagnostics_csv_rows_are_to_csv_lines_and_read_back_bitwise(tmp_path):
+    # magnitudes across the whole float range, both zeros, the smallest
+    # subnormal and the largest float
+    rng = np.random.default_rng(7)
+    names = DiagnosticsRecord.CSV_HEADER.split(",")
+    shape = (100, len(names))
+    values = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-300, 300, shape)
+    values[:4, 0] = [0.0, -0.0, 5e-324, np.finfo(float).max]
+    recs = [DiagnosticsRecord(*map(float, row)) for row in values]
+    path = tmp_path / "diag.csv"
+    write_diagnostics_csv(recs, path)
+    text = path.read_text()
+    assert text == "".join(line + "\n" for line in
+                           [DiagnosticsRecord.CSV_HEADER]
+                           + [rec.to_csv() for rec in recs])
+    # the bytes np.savetxt wrote before to_csv became the one formatter
+    legacy = tmp_path / "legacy.csv"
+    np.savetxt(legacy, values, fmt="%.17g", delimiter=",",
+               header=DiagnosticsRecord.CSV_HEADER, comments="")
+    assert text == legacy.read_text()
+    back = np.array([[getattr(rec, name) for name in names]
+                     for rec in read_diagnostics_csv(path)])
+    assert back.tobytes() == values.tobytes()
+
+
 def test_diagnostics_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")

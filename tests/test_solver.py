@@ -22,7 +22,9 @@ from hmfp.solver import (
     LINEAR,
     SolverConfig,
     _split_shift,
+    _StepField,
     _theta_stencil,
+    _Workspace,
     advect_theta,
     advect_v,
     evolve,
@@ -39,13 +41,13 @@ def wavy_gaussian(grid):
 
 
 @st.composite
-def fields(draw):
+def fields(draw, n_thetas=st.integers(8, 40)):
     """Nonnegative fields on 8-40 cells per side, zeros included.
 
     Nonzero values stay far above the subnormal range, so products with
     the stencil weights keep full relative precision.
     """
-    n_theta = draw(st.integers(8, 40))
+    n_theta = draw(n_thetas)
     n_v = draw(st.integers(8, 40))
     v_max = draw(st.floats(0.5, 20.0))
     values = draw(arrays(np.float64, (n_theta, n_v),
@@ -248,6 +250,26 @@ def test_advections_match_the_reference_gathers_bitwise(data, f, dt, mode):
     assert losses.clipped_mass == clipped
 
 
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dt=steps)
+def test_theta_advection_may_read_the_buffer_it_writes(parity, data, dt):
+    """evolve passes half back in as the input: the kernel must gather
+    before it writes, and write every cell it returns."""
+    f = data.draw(fields(st.integers(4, 20).map(lambda k: 2 * k + parity)))
+    ws = _Workspace(f.grid)
+    advect_theta(f, dt, LINEAR, ws)
+    assert ws.gather is None  # only cubic runs allocate the gather buffer
+    ws.gather = np.empty_like(ws.product)
+    for mode in (LINEAR, CUBIC):
+        for buf in vars(ws).values():
+            buf.fill(np.nan)
+        ws.half[...] = f.values
+        out = advect_theta(_StepField(f.grid, ws.half), dt, mode, ws)
+        assert out.values is ws.half
+        assert out.values.tobytes() == reference_advect_theta(f, dt, mode).tobytes()
+
+
 def test_theta_stencil_is_built_once_per_grid_and_dt():
     advect_theta(wavy_gaussian(make_grid(24, 16, 3.0)), 0.123)
     before = _theta_stencil.cache_info()
@@ -406,6 +428,9 @@ def test_solver_config_validation():
         SolverConfig(dt=0.1, t_end=1.0, record_every=0)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, t_end=1.0, record_every=1.5)
+    for every in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="record_every must be a positive integer"):
+            SolverConfig(dt=0.1, t_end=1.0, record_every=every)
 
 
 def test_evolve_zero_horizon_returns_the_datum():
