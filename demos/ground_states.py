@@ -40,6 +40,8 @@ seed = Potential(g, -0.5 * np.cos(g.theta), 0.5 * np.sin(g.theta))
 st = self_consistent_solve(entropy_spec(), ConstraintSet(m1=4 * math.pi), seed,
                            tol=1e-12, max_iter=20000)
 print("iterations = %d, residual = %.2e" % (st.iterations, st.fixed_point_residual))
+print("extrapolated steps: %d accepted, %d refused"
+      % (st.accepted_extrapolations, st.refused_extrapolations))
 print("lambda = %.8f, potential depth = %.6f, mass = %.10f"
       % (st.multipliers.lam, st.potential.values.min(), mass(st.field)))
 

@@ -133,14 +133,15 @@ class _Workspace:
     each weighted stencil node, and in linear mode the theta gather too.
     gather, the cubic theta gather, is allocated by the first cubic theta
     advection, and padded, the zero-guarded copy that v advection reads,
-    only ever grows.
+    only ever grows.  A kernel called without a workspace allocates only
+    the buffers it uses; the others are None.
     """
 
-    def __init__(self, grid):
+    def __init__(self, grid, state=True, half=True, product=True):
         shape = (grid.n_theta, grid.n_v)
-        self.state = np.empty(shape)
-        self.half = np.empty(shape)
-        self.product = np.empty(shape)
+        self.state = np.empty(shape) if state else None
+        self.half = np.empty(shape) if half else None
+        self.product = np.empty(shape) if product else None
         self.gather = None
         self.padded = np.zeros((grid.n_theta, 0))
 
@@ -169,7 +170,7 @@ def advect_theta(f, dt, interpolation=LINEAR, work=None):
     """
     grid = f.grid
     n = grid.n_theta
-    ws = _Workspace(grid) if work is None else work
+    ws = _Workspace(grid, state=False) if work is None else work
     index, stencils = _theta_stencil(grid, dt)
     node = ws.product
     if interpolation != LINEAR:
@@ -217,7 +218,8 @@ def advect_v(f, phi_prime, dt, interpolation=LINEAR, work=None):
     # per side keep every window of stencil node k (k in -1..2) inside
     # the row; only the middle n_v columns are ever written.
     base, u = _split_shift(s, n_v + 2)
-    ws = _Workspace(grid) if work is None else work
+    ws = (_Workspace(grid, half=False, product=interpolation != LINEAR)
+          if work is None else work)
     pad = int(np.abs(base).max()) + 2
     if ws.padded.shape[1] < n_v + 2 * pad:
         ws.padded = np.zeros((grid.n_theta, n_v + 2 * pad))

@@ -25,6 +25,10 @@ one inverse of a section sum, gives the one-constraint multiplier and the
 rearrangement's inverse sublevel measure.  With two constraints the mass
 constraint fixes |mu| in closed form for each lambda, which leaves that
 single root, bracketed by its own search.
+
+Both minimizers iterate one damped fixed-point driver, which over-relaxes
+along the dominant mode once its defect ratios settle, and falls back to
+the plain step when that fails to lower the defect.
 """
 
 from __future__ import annotations
@@ -83,13 +87,16 @@ def _check_constraint(name, value):
 @dataclass(frozen=True)
 class SteadyStateResult:
     """Converged fixed-point state with its convergence report; multipliers
-    is None for the equimeasurable minimizer."""
+    is None for the equimeasurable minimizer.  iterations counts every
+    update call, refused extrapolated steps included."""
 
     field: DistributionField
     potential: Potential
     multipliers: Multipliers | None
     fixed_point_residual: float
     iterations: int
+    accepted_extrapolations: int
+    refused_extrapolations: int
 
 
 @dataclass(frozen=True)
@@ -126,11 +133,12 @@ def _beta_half(m: float) -> float:
     return math.sqrt(math.pi) * math.gamma(m + 1.0) / (2.0 * math.gamma(m + 1.5))
 
 
-def _power_coefficient(k: float, ps: float) -> float:
+def _power_coefficient(k: float, ps: float, scale: float | None = None) -> float:
     """2 sqrt(2) B(k) (p s)**(-k): the velocity integral of a power profile
-    of order k, per (lambda - phi)_+**(k + 1/2)."""
+    of order k, per (lambda - phi)_+**(k + 1/2).  scale, if given, is the
+    factor 2 sqrt(2) B(k), which _power_coefficient(k, 1.0) returns."""
     try:
-        return 2.0 * math.sqrt(2.0) * _beta_half(k) * ps ** (-k)
+        return (2.0 * math.sqrt(2.0) * _beta_half(k) if scale is None else scale) * ps ** (-k)
     except OverflowError:
         raise ValueError("the velocity-integral coefficient (p|mu|)**-k "
                          f"overflows at p|mu| = {ps:g}, k = {k:g}") from None
@@ -151,8 +159,12 @@ def _section_sum(phi: Potential, x, k: float, ps: float):
     x = np.asarray(x, dtype=float)
     gap = np.maximum(x[..., np.newaxis] - phi.values, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = (gap ** (k + 0.5)).sum(axis=-1)
-        out = _power_coefficient(k, ps) * total * phi.grid.d_theta
+        return _gap_sum(phi, gap, k, _power_coefficient(k, ps))
+
+
+def _gap_sum(phi: Potential, gap, k: float, coefficient: float):
+    """_section_sum from its gap (x - phi)_+, under the caller's errstate."""
+    out = coefficient * (gap ** (k + 0.5)).sum(axis=-1) * phi.grid.d_theta
     return out if out.ndim else float(out)
 
 
@@ -296,32 +308,39 @@ def solve_multipliers_two(
         raise ValueError("two-constraint solve requires mj")
     k = 1.0 / (spec.p - 1.0)
     min_phi = float(phi.values.min())
+    mass_coefficient = _power_coefficient(k, spec.p)
+    casimir_scale = _power_coefficient(k + 1.0, 1.0)
 
-    def s_of(lam):
-        return (_section_sum(phi, lam, k, spec.p) / constraints.m1) ** (1.0 / k)
+    def s_and_casimir(lam):
+        # one gap for both orders; an empty profile (s = 0) has an infinite
+        # Casimir value
+        gap = np.maximum(lam - phi.values, 0.0)
+        s = (_gap_sum(phi, gap, k, mass_coefficient) / constraints.m1) ** (1.0 / k)
+        if s == 0.0:
+            return s, math.inf
+        return s, _gap_sum(phi, gap, k + 1.0,
+                           _power_coefficient(k + 1.0, spec.p * s, casimir_scale))
 
     def casimir_above(lam):
-        s = s_of(lam)
-        # an empty profile (s = 0) has an infinite Casimir value
-        return s == 0.0 or _section_sum(phi, lam, k + 1.0, spec.p * s) > constraints.mj
+        return s_and_casimir(lam)[1] > constraints.mj
 
-    # the root lies in min phi + [offset / 2, offset]
-    offset = 1.0
-    for _ in range(200):
-        if casimir_above(min_phi + offset):
-            offset *= 2.0
-        elif not casimir_above(min_phi + 0.5 * offset):
-            offset *= 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the root lies in min phi + [offset / 2, offset]
+        offset = 1.0
+        for _ in range(200):
+            if casimir_above(min_phi + offset):
+                offset *= 2.0
+            elif not casimir_above(min_phi + 0.5 * offset):
+                offset *= 0.5
+            else:
+                break
         else:
-            break
-    else:
-        raise ConvergenceError("solve_multipliers_two: could not bracket the Casimir value")
-    lam = float(_bisect(casimir_above, min_phi + 0.5 * offset, min_phi + offset))
-    s = s_of(lam)
+            raise ConvergenceError("solve_multipliers_two: could not bracket the Casimir value")
+        lam = float(_bisect(casimir_above, min_phi + 0.5 * offset, min_phi + offset))
+        s, casimir = s_and_casimir(lam)
     # a root within a few ulps of min phi leaves the Casimir value jumping
     # past mj between adjacent floats
-    if not (s > 0.0 and abs(_section_sum(phi, lam, k + 1.0, spec.p * s) - constraints.mj)
-            <= 1e-9 * constraints.mj):
+    if not (s > 0.0 and abs(casimir - constraints.mj) <= 1e-9 * constraints.mj):
         raise ConvergenceError(
             f"solve_multipliers_two: the Casimir value {constraints.mj:g} is out "
             f"of reach in double precision; the profile collapses onto min phi")
@@ -381,26 +400,50 @@ def _check_fixed_point_settings(damping, tol, max_iter):
 
 
 def _damped_fixed_point(phi0, update, damping, tol, max_iter, what, hint=""):
-    """Damped fixed-point iteration phi <- (1 - damping) phi + damping phi_F.
+    """Damped fixed-point iteration phi <- (1 - damping) phi + damping phi_F,
+    with guarded over-relaxation along the dominant mode.
 
-    update(phi) returns (phi_F, field, multipliers).  The iteration stops at
-    the first phi whose defect sup|phi_F - phi| is at most tol and returns
-    SteadyStateResult(field, phi, multipliers, damping * defect,
-    iterations); past max_iter steps it raises ConvergenceError naming
-    `what`, followed by `hint`.
+    update(phi) returns (phi_F, field, multipliers), once per iteration.
+    The iteration stops at the first phi whose defect sup|phi_F - phi| is
+    at most tol, with residual damping * defect; past max_iter steps it
+    raises ConvergenceError naming `what`, followed by `hint`.
+
+    Once two successive defect ratios agree within 1%, the latest r in (0,
+    1), one step of weight damping / (1 - r) <= 4 over-relaxes the dominant
+    mode (Aitken's delta-squared).  If the next defect is not below the one
+    before it, the saved phi and phi_F take the plain step instead; either
+    way two fresh ratios are awaited.  Only the defect guards: J rises on
+    most plain power:2 steps.
     """
     _check_fixed_point_settings(damping, tol, max_iter)
     g = phi0.grid
     phi = phi0
+    jumps = refused = 0
+    saved = last = rate = None
     for iterations in range(1, max_iter + 1):
         phi_f, field, multipliers = update(phi)
         defect = float(np.max(np.abs(phi_f.values - phi.values)))
         if defect <= tol:
-            return SteadyStateResult(field, phi, multipliers, damping * defect, iterations)
+            return SteadyStateResult(field, phi, multipliers, damping * defect,
+                                     iterations, jumps - refused, refused)
+        weight = damping
+        if saved is not None:
+            if not defect < saved[2]:
+                refused += 1
+                phi, phi_f, defect = saved
+            saved = rate = None
+        elif last is not None:
+            ratio = defect / last
+            if rate is not None and 0.0 < ratio < 1.0 and abs(ratio - rate) <= 0.01 * ratio:
+                weight = min(damping / (1.0 - ratio), 4.0)
+                saved = (phi, phi_f, defect)
+                jumps += 1
+            rate = ratio
+        last = defect
         phi = Potential(
             g,
-            (1.0 - damping) * phi.values + damping * phi_f.values,
-            (1.0 - damping) * phi.derivative + damping * phi_f.derivative,
+            (1.0 - weight) * phi.values + weight * phi_f.values,
+            (1.0 - weight) * phi.derivative + weight * phi_f.derivative,
         )
     raise ConvergenceError(
         f"{what} did not converge in {max_iter} steps "

@@ -1,5 +1,6 @@
 """Split-step transport: advection kernels, invariants, convergence."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -248,6 +249,24 @@ def test_advections_match_the_reference_gathers_bitwise(data, f, dt, mode):
     assert out.values.tobytes() == ref.tobytes()
     assert losses.outflow == outflow
     assert losses.clipped_mass == clipped
+
+
+def test_standalone_linear_v_advection_allocates_only_what_it_uses():
+    """Without a workspace, linear v advection needs its output and padded
+    buffers and two node gathers, not the theta half-step or product
+    buffers of a whole evolve workspace (3.1 MB peak at 256^2 with them)."""
+    g = make_grid(256, 256, 6.0)
+    f = wavy_gaussian(g)
+    phi_prime = 0.3 * np.sin(g.theta)
+    advect_v(f, phi_prime, 0.1)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        out, _ = advect_v(f, phi_prime, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.values.nbytes == 256 * 256 * 8
+    assert peak < 2.2e6
 
 
 @pytest.mark.parametrize("parity", [0, 1])

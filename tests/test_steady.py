@@ -252,6 +252,57 @@ def test_multiplier_solves_meet_constraints_and_match_the_nested_bisection(
     assert mult.mu == pytest.approx(ref.mu, rel=rel)
 
 
+def _two_section_sum_multipliers(phi, spec, constraints):
+    """solve_multipliers_two with one _section_sum call per order and step:
+    the bitwise reference for the solve that takes each gap once."""
+    k = 1.0 / (spec.p - 1.0)
+    min_phi = float(phi.values.min())
+
+    def s_of(lam):
+        return (_section_sum(phi, lam, k, spec.p) / constraints.m1) ** (1.0 / k)
+
+    def casimir_above(lam):
+        s = s_of(lam)
+        return s == 0.0 or _section_sum(phi, lam, k + 1.0, spec.p * s) > constraints.mj
+
+    offset = 1.0
+    for _ in range(200):
+        if casimir_above(min_phi + offset):
+            offset *= 2.0
+        elif not casimir_above(min_phi + 0.5 * offset):
+            offset *= 0.5
+        else:
+            break
+    else:
+        raise ConvergenceError("solve_multipliers_two: could not bracket the Casimir value")
+    lam = float(_bisect(casimir_above, min_phi + 0.5 * offset, min_phi + offset))
+    s = s_of(lam)
+    if not (s > 0.0 and abs(_section_sum(phi, lam, k + 1.0, spec.p * s) - constraints.mj)
+            <= 1e-9 * constraints.mj):
+        raise ConvergenceError(
+            f"solve_multipliers_two: the Casimir value {constraints.mj:g} is out "
+            f"of reach in double precision; the profile collapses onto min phi")
+    return Multipliers(lam=lam, mu=-s)
+
+
+def _outcome(solve, *args):
+    try:
+        mult = solve(*args)
+    except (ConvergenceError, ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return np.array([mult.lam, mult.mu]).tobytes()
+
+
+@example(a=0.26, b=0.75, p=1.211, m1=1.53, mj=19.8)  # out of reach
+@settings(max_examples=150, deadline=None)
+@given(a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0), p=st.floats(1.2, 5.0),
+       m1=st.floats(0.1, 30.0), mj=st.floats(0.1, 30.0))
+def test_two_constraint_solve_matches_one_section_sum_per_order_bitwise(a, b, p, m1, mj):
+    phi = wavy_potential(make_grid(32, 8, 6.0), a, b)
+    args = (phi, power_spec(p), ConstraintSet(m1=m1, mj=mj))
+    assert _outcome(solve_multipliers_two, *args) == _outcome(_two_section_sum_multipliers, *args)
+
+
 def _bisect_90_steps(below, lo, hi):
     """The 90-step np.where bisection written out: the bitwise reference
     for _bisect's early stop."""
@@ -509,6 +560,99 @@ def test_nonconvergence_raises():
             entropy_spec(), ConstraintSet(m1=1.0), seed_potential(g, 0.0),
             damping=0.0,
         )
+
+
+def _plain_damped_loop(phi0, update, damping, tol, max_iter=10000):
+    """The damped fixed-point loop without extrapolated steps: the reference
+    the driver must agree with.  Returns (phi, field, iterations)."""
+    phi = phi0
+    for iterations in range(1, max_iter + 1):
+        phi_f, field, _ = update(phi)
+        if float(np.max(np.abs(phi_f.values - phi.values))) <= tol:
+            return phi, field, iterations
+        phi = Potential(phi.grid, (1.0 - damping) * phi.values + damping * phi_f.values,
+                        (1.0 - damping) * phi.derivative + damping * phi_f.derivative)
+    raise ConvergenceError("the plain damped loop did not converge")
+
+
+def _self_consistent_update(spec, cons):
+    def update(phi):
+        mult = solve_state_multipliers(phi, spec, cons)
+        field = build_F_phi(phi, spec, mult)
+        return solve_potential(field), field, mult
+    return update
+
+
+# At 32^2 the power:2 grid state is not a critical point of J on the grid
+# (its grid mass misses m1 by about 1e-2), so J moves to first order in
+# phi, about 0.05 |delta phi|: the loops stop at tol = 1e-10, where two
+# results a few tol apart agree in J to well under 1e-10.
+@settings(max_examples=25, deadline=None)
+@given(case=st.sampled_from(["entropy", "power2-two-constraint"]),
+       well=st.floats(0.1, 0.8), damping=st.floats(0.3, 1.0))
+def test_extrapolated_driver_lands_where_the_plain_loop_does(case, well, damping):
+    spec, cons = {
+        "entropy": (entropy_spec(), ConstraintSet(m1=4.0 * math.pi)),
+        "power2-two-constraint": (power_spec(2.0),
+                                  ConstraintSet(m1=POWER2_M1, mj=POWER2_MJ)),
+    }[case]
+    g = make_grid(32, 32, 6.0)
+    tol = 1e-10
+    seed = seed_potential(g, well)
+    phi, field, plain_iterations = _plain_damped_loop(
+        seed, _self_consistent_update(spec, cons), damping, tol)
+    res = self_consistent_solve(spec, cons, seed, damping=damping, tol=tol)
+    # the same roll as the solve's, which puts the minimum at theta = pi
+    shift = (g.n_theta // 2 - int(np.argmin(phi.values))) % g.n_theta
+    assert float(np.max(np.abs(np.roll(phi.values, shift) - res.potential.values))) <= 10 * tol
+    j_plain = free_energy_J(field, spec)
+    assert free_energy_J(res.field, spec) == pytest.approx(j_plain, rel=1e-10)
+    assert res.iterations <= plain_iterations
+
+
+def _two_mode_update(rates):
+    """A linear map with fixed point 0 on an 8-node grid: it multiplies the
+    zero-mean patterns +-1 on nodes 0-3 and on nodes 4-7 by the given
+    undamped rates.  Returns the map, its list of calls and the start
+    potential, both patterns at amplitude 1."""
+    g = make_grid(8, 8, 6.0)
+    modes = np.kron(np.eye(2), [1.0, -1.0, 1.0, -1.0])
+    matrix = sum(rate * np.outer(m, m) / (m @ m) for rate, m in zip(rates, modes))
+    calls = []
+
+    def update(phi):
+        calls.append(None)
+        return Potential(g, matrix @ phi.values, matrix @ phi.derivative), None, None
+
+    return update, calls, Potential(g, modes.sum(axis=0), np.zeros(g.n_theta))
+
+
+def test_extrapolated_steps_cut_the_calls_of_a_linear_contraction():
+    update, calls, phi0 = _two_mode_update((0.8, 0.3))
+    _, _, plain_iterations = _plain_damped_loop(phi0, update, 0.5, 1e-12)
+    calls.clear()
+    res = hmfp.steady._damped_fixed_point(phi0, update, 0.5, 1e-12, 1000, "test")
+    assert res.iterations == len(calls)
+    assert res.accepted_extrapolations >= 1 and res.refused_extrapolations == 0
+    assert res.iterations <= plain_iterations // 2
+    assert float(np.max(np.abs(res.potential.values))) <= 1e-11
+
+
+def test_a_refused_extrapolated_step_falls_back_and_still_converges():
+    """Damped by 0.5, the rates 0.75 and -2.75 both shrink the defect by
+    0.875 per step, one without and one with a sign flip that the sup-norm
+    ratio cannot see.  The step of weight 4 meant for the first pattern
+    multiplies the second by -14 and raises the defect, so it is refused,
+    and the plain steps still converge."""
+    update, calls, phi0 = _two_mode_update((0.75, -2.75))
+    _, _, plain_iterations = _plain_damped_loop(phi0, update, 0.5, 1e-12)
+    calls.clear()
+    res = hmfp.steady._damped_fixed_point(phi0, update, 0.5, 1e-12, 1000, "test")
+    assert res.iterations == len(calls)
+    assert res.refused_extrapolations >= 1 and res.accepted_extrapolations == 0
+    assert res.iterations == plain_iterations + res.refused_extrapolations
+    assert float(np.max(np.abs(res.potential.values))) <= 1e-11
+    assert res.fixed_point_residual <= 0.5 * 1e-12
 
 
 @pytest.mark.parametrize("solve", [
