@@ -16,8 +16,9 @@ from hmfp.functionals import hamiltonian, mass, microscopic_energy_pairing
 from hmfp.grid import DistributionField, Potential, make_grid
 from hmfp.interaction import solve_potential
 from hmfp.rearrange import (convex_B, distribution_function,
-                            equimeasurability_defect, inverse_sublevel_measure,
-                            level_band_defect, level_grid,
+                            equimeasurability_defect, four_cell_ladder,
+                            inverse_sublevel_measure, level_band_defect,
+                            level_grid,
                             profile_pairing_integral, pseudo_inverse,
                             rearrange_with_energy, rearranged_energy_integral,
                             sublevel_measure_a)
@@ -28,7 +29,7 @@ values = (1.0 + 0.4 * np.cos(g.theta - 0.7)
           + 0.2 * np.cos(2 * g.theta + 0.3))[:, None] \
     * np.exp(-0.5 * (1.1 * g.v) ** 2)[None, :]
 f = DistributionField(g, values)
-ladder = level_grid(f, (g.n_theta * g.n_v) // 4)
+ladder = four_cell_ladder(f)
 
 zero = Potential(g, np.zeros(g.n_theta), np.zeros(g.n_theta))
 for label, phi in (("phi = 0", zero), ("self-consistent phi", solve_potential(f))):

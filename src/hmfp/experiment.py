@@ -23,8 +23,8 @@ from .functionals import (casimir_integral, diagnostics, free_energy_J,
 from .grid import (DistributionField, Potential, _atomic_write, load_snapshot,
                    save_snapshot)
 from .interaction import solve_potential
-from .rearrange import (equimeasurability_defect, level_band_defect,
-                        level_grid, rearrange_with_energy)
+from .rearrange import (equimeasurability_defect, four_cell_ladder,
+                        level_band_defect, rearrange_with_energy)
 from .solver import advect_v, evolve
 from .steady import renormalize_to_constraints, self_consistent_solve
 
@@ -212,7 +212,7 @@ def run_rearrange(cfg, snapshot):
         phi = Potential(grid, np.zeros(grid.n_theta), np.zeros(grid.n_theta))
     else:
         phi = solve_potential(field)
-    ladder = level_grid(field, (grid.n_theta * grid.n_v) // 4)
+    ladder = four_cell_ladder(field)
     rearranged = rearrange_with_energy(field, phi, ladder)
     raw = equimeasurability_defect(field, rearranged, ladder)
     banded = level_band_defect(field, rearranged, ladder)

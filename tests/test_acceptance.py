@@ -30,6 +30,7 @@ from hmfp.rearrange import (
     convex_B,
     distribution_function,
     equimeasurability_defect,
+    four_cell_ladder,
     inverse_sublevel_measure,
     level_band_defect,
     level_grid,
@@ -118,7 +119,7 @@ def test_criterion_03_equimeasurability_with_refinement():
     worst_band = 0.0
     for seed in range(20):
         f = smooth_random_field(g, 200 + seed)
-        ladder = level_grid(f, (g.n_theta * g.n_v) // 4)
+        ladder = four_cell_ladder(f)
         for phi in (zero_potential(g), solve_potential(f)):
             out = rearrange_with_energy(f, phi, ladder)
             band = level_band_defect(f, out, ladder)
@@ -128,7 +129,7 @@ def test_criterion_03_equimeasurability_with_refinement():
     worst_fine = 0.0
     for seed in (201, 205, 213, 207, 211):
         f = smooth_random_field(g2, seed)
-        ladder = level_grid(f, (g2.n_theta * g2.n_v) // 4)
+        ladder = four_cell_ladder(f)
         for phi in (zero_potential(g2), solve_potential(f)):
             out = rearrange_with_energy(f, phi, ladder)
             worst_fine = max(worst_fine, level_band_defect(f, out, ladder))
@@ -140,7 +141,7 @@ def test_criterion_03_equimeasurability_with_refinement():
         for n in (64, 128):
             gg = make_grid(n, n, 6.0)
             ff = smooth_random_field(gg, seed)
-            ladder = level_grid(ff, (gg.n_theta * gg.n_v) // 4)
+            ladder = four_cell_ladder(ff)
             out = rearrange_with_energy(ff, zero_potential(gg), ladder)
             raws.append(equimeasurability_defect(ff, out, ladder))
         raw_ratio = max(raw_ratio, raws[1] / raws[0])

@@ -25,6 +25,7 @@ from hmfp.rearrange import (
     distribution_function,
     equimeasurability_defect,
     equimeasurable_minimize,
+    four_cell_ladder,
     inverse_sublevel_measure,
     level_band_defect,
     level_grid,
@@ -266,7 +267,7 @@ def test_rearrangement_preserves_mass_approximately():
     tol = 4.0 * g.cell_area * float(f.values.max())
     for phi in (flat_potential(g), solve_potential(f)):
         # a quarter-cell-count ladder resolves the mass to the 4-cell bound
-        out = rearrange_with_energy(f, phi, level_grid(f, (64 * 64) // 4))
+        out = rearrange_with_energy(f, phi, four_cell_ladder(f))
         assert abs(mass(out) - mass(f)) <= tol
         # the default coarser ladder stays within a few bounds of it
         loose = rearrange_with_energy(f, phi, level_grid(f))
@@ -316,7 +317,7 @@ def test_band_defect_of_a_flat_rearrangement_is_zero(seed):
     # round trip through the measure once read two cells
     g = make_grid(64, 64, 6.0)
     f = smooth_random_field(g, seed)
-    ladder = level_grid(f, (g.n_theta * g.n_v) // 4)
+    ladder = four_cell_ladder(f)
     out = rearrange_with_energy(f, flat_potential(g), ladder)
     assert level_band_defect(f, out, ladder) == 0.0
 
@@ -362,7 +363,7 @@ def _ragged_pair(n_theta, n_v, v_max, seed, kind):
 
     f = ragged()
     if kind == "rearranged":
-        g = rearrange_with_energy(f, solve_potential(f), level_grid(f, f.values.size // 4))
+        g = rearrange_with_energy(f, solve_potential(f), four_cell_ladder(f))
     elif kind == "perturbed":
         values = f.values.copy()
         rows = rng.integers(0, n_theta, n_theta)
@@ -388,7 +389,7 @@ PAIR_DRAWS = dict(n_theta=st.integers(8, 12), n_v=st.integers(8, 12),
 def test_level_band_defect_matches_its_definition_bitwise(n_theta, n_v, v_max,
                                                           seed, kind, extra):
     f, g = _ragged_pair(n_theta, n_v, v_max, seed, kind)
-    levels = np.concatenate((level_grid(f, f.values.size // 4), extra))
+    levels = np.concatenate((four_cell_ladder(f), extra))
     want = _band_defect_by_definition(f, g, levels)
     got = level_band_defect(f, g, levels)
     assert type(got) is float
@@ -399,7 +400,7 @@ def test_level_band_defect_matches_its_definition_bitwise(n_theta, n_v, v_max,
 @given(**PAIR_DRAWS)
 def test_both_defects_are_whole_numbers_of_cells(n_theta, n_v, v_max, seed, kind):
     f, g = _ragged_pair(n_theta, n_v, v_max, seed, kind)
-    levels = level_grid(f, f.values.size // 4)
+    levels = four_cell_ladder(f)
     area = f.grid.cell_area
     for defect in (level_band_defect(f, g, levels),
                    equimeasurability_defect(f, g, levels)):
@@ -480,14 +481,18 @@ def test_compose_profile_indicator():
 
 
 def _compose_per_cell(fsharp, grid, phi):
-    """compose_profile evaluated at every cell in 8192-cell chunks: the
-    bitwise reference for its evaluation per distinct kinetic energy."""
+    """compose_profile evaluated at every cell, 2**20 // n_theta cells at a
+    time: the bitwise reference for its bracketed evaluation."""
     e = (0.5 * grid.v[np.newaxis, :] ** 2 + phi.values[:, np.newaxis]).ravel()
     out = np.empty_like(e)
-    for start in range(0, e.size, 8192):
-        out[start : start + 8192] = fsharp.evaluate(
-            sublevel_measure_a(phi, e[start : start + 8192]))
+    chunk = 2 ** 20 // grid.n_theta
+    for start in range(0, e.size, chunk):
+        out[start : start + chunk] = fsharp.evaluate(
+            sublevel_measure_a(phi, e[start : start + chunk]))
     return out.reshape(grid.n_theta, grid.n_v)
+
+
+LADDERS = {"default": level_grid, "four-cell": four_cell_ladder}
 
 
 @pytest.mark.parametrize("n_v, v_max, distinct", [(8, 0.7, 5), (16, 7.3, 14)])
@@ -499,16 +504,17 @@ def test_kinetic_energy_is_not_mirror_symmetric_on_every_grid(n_v, v_max, distin
     assert kinetic.tobytes() != kinetic[::-1].tobytes()
 
 
-# 70 x 128 cells span two evaluation chunks
-@example(shape=(70, 128, 6.0), potential="random", seed=1)
-@example(shape=(8, 8, 0.7), potential="zero", seed=2)
-@example(shape=(16, 16, 7.3), potential="random", seed=3)
+@example(shape=(70, 128, 6.0), potential="random", ladder="four-cell", seed=1)
+@example(shape=(8, 8, 0.7), potential="zero", ladder="default", seed=2)
+@example(shape=(16, 16, 7.3), potential="random", ladder="four-cell", seed=3)
 @settings(max_examples=40, deadline=None)
 @given(shape=st.sampled_from([(8, 8, 0.7), (16, 16, 7.3)])
        | st.tuples(st.integers(8, 80), st.integers(8, 140), st.floats(0.1, 12.0)),
        potential=st.sampled_from(["zero", "random"]),
+       ladder=st.sampled_from(sorted(LADDERS)),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_compose_profile_matches_the_per_cell_evaluation_bitwise(shape, potential, seed):
+def test_compose_profile_matches_the_per_cell_evaluation_bitwise(shape, potential,
+                                                                  ladder, seed):
     n_theta, n_v, v_max = shape
     g = make_grid(n_theta, n_v, v_max)
     rng = np.random.default_rng(seed)
@@ -518,29 +524,52 @@ def test_compose_profile_matches_the_per_cell_evaluation_bitwise(shape, potentia
         phi = flat_potential(g)
     else:
         phi = Potential(g, rng.normal(0.0, 1.0, n_theta), np.zeros(n_theta))
-    fsharp = pseudo_inverse(distribution_function(f, level_grid(f)))
+    fsharp = pseudo_inverse(distribution_function(f, LADDERS[ladder](f)))
     got = compose_profile(fsharp, phi).values
     assert got.tobytes() == _compose_per_cell(fsharp, g, phi).tobytes()
 
 
+@pytest.mark.parametrize("ladder", sorted(LADDERS))
+def test_compose_profile_matches_the_per_cell_evaluation_bitwise_at_512(ladder):
+    # 512^2 spans several evaluation chunks and deep bisection rounds; under
+    # the zero potential every theta node ties
+    g = make_grid(512, 512, 6.0)
+    f = DistributionField(g, (1.0 + 0.3 * np.cos(g.theta))[:, np.newaxis]
+                          * np.exp(-0.5 * g.v ** 2)[np.newaxis, :])
+    fsharp = pseudo_inverse(distribution_function(f, LADDERS[ladder](f)))
+    for phi in (solve_potential(f), flat_potential(g)):
+        got = compose_profile(fsharp, phi).values
+        assert got.tobytes() == _compose_per_cell(fsharp, g, phi).tobytes()
+
+
 def test_compose_profile_temporaries_stay_below_a_million_floats(monkeypatch):
     """Each sublevel-measure call takes at most 2**20 // n_theta energies,
-    so its (energies x n_theta) temporaries hold at most 2**20 floats."""
+    so its (energies x n_theta) temporaries hold at most 2**20 floats; and
+    the brackets evaluate each energy at most once, a small share of them."""
     g = make_grid(512, 64, 6.0)
-    phi = cosine_potential(g)
+    # a cosine shifted off the grid's mirror symmetry, so that no two
+    # energies tie and each evaluated value names one energy
+    phase = g.theta + 0.3
+    phi = Potential(g, 0.5 * np.cos(phase), -0.5 * np.sin(phase))
     f = maxwellian(g, TWO_PI)
     fsharp = pseudo_inverse(distribution_function(f, level_grid(f)))
-    sizes = []
+    evaluated = []
 
     def recording(p, e):
-        sizes.append(np.size(e))
+        evaluated.append(np.array(e))
         return sublevel_measure_a(p, e)
 
     monkeypatch.setattr("hmfp.rearrange.sublevel_measure_a", recording)
     compose_profile(fsharp, phi)
-    # every theta node against every distinct kinetic energy, once
-    assert sum(sizes) == g.n_theta * np.unique(0.5 * g.v ** 2).size
-    assert max(sizes) <= 2 ** 20 // g.n_theta
+    energies = (np.unique(0.5 * g.v ** 2)[np.newaxis, :]
+                + phi.values[:, np.newaxis]).ravel()
+    assert np.unique(energies).size == energies.size
+    got = np.concatenate(evaluated)
+    # every evaluated value is an energy of the grid, and none comes twice
+    assert np.isin(got, energies).all()
+    assert np.unique(got).size == got.size
+    assert got.size < energies.size / 10
+    assert max(e.size for e in evaluated) <= 2 ** 20 // g.n_theta
 
 
 def test_equimeasurable_minimize_homogeneous_fixed_point():
