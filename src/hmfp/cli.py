@@ -7,7 +7,8 @@ once and shared by every run.  A sweep fans the run out over the listed
 values of one config key, each variant isolated in its own directory,
 named by the hash of its config, the command and the input's bytes;
 the worker pool has one thread per CPU this process may run on, capped
-by HMFP_THREADS, and the variants' result lines come
+by HMFP_THREADS (each evolve or stability run adds one observer thread
+of its own, see solver.evolve), and the variants' result lines come
 in the listed order.  Exit codes: 0 success, 1 a bad command line,
 config or I/O trouble, a number out of range, or too little memory, 2
 an iterative solve failed to converge, 3 the time integrator aborted.  A

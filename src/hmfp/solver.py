@@ -10,7 +10,9 @@ row; advection in v loses mass through the open ends of the velocity box,
 and that loss is tallied rather than hidden.
 """
 
+import contextvars
 import functools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -129,18 +131,19 @@ class _StepField(NamedTuple):
 class _Workspace:
     """The step buffers of one evolve call on one grid.
 
-    Theta advection writes to half, v advection to state; product holds
-    each weighted stencil node, and in linear mode the theta gather too.
-    gather, the cubic theta gather, is allocated by the first cubic theta
-    advection, and padded, the zero-guarded copy that v advection reads,
-    only ever grows.  A kernel called without a workspace allocates only
-    the buffers it uses; the others are None.
+    Theta and v advection both write to half, which within a step is
+    also their input: each reads its input whole, into a gather or into
+    padded, before it writes.  product holds each weighted stencil node,
+    and in linear mode the theta gather too.  gather, the cubic theta
+    gather, is allocated by the first cubic theta advection, and padded,
+    the zero-guarded copy that v advection reads, only ever grows.  A
+    linear v advection called without a workspace needs no product, which
+    is then None.
     """
 
-    def __init__(self, grid, state=True, half=True, product=True):
+    def __init__(self, grid, product=True):
         shape = (grid.n_theta, grid.n_v)
-        self.state = np.empty(shape) if state else None
-        self.half = np.empty(shape) if half else None
+        self.half = np.empty(shape)
         self.product = np.empty(shape) if product else None
         self.gather = None
         self.padded = np.zeros((grid.n_theta, 0))
@@ -170,7 +173,7 @@ def advect_theta(f, dt, interpolation=LINEAR, work=None):
     """
     grid = f.grid
     n = grid.n_theta
-    ws = _Workspace(grid, state=False) if work is None else work
+    ws = _Workspace(grid) if work is None else work
     index, stencils = _theta_stencil(grid, dt)
     node = ws.product
     if interpolation != LINEAR:
@@ -203,8 +206,9 @@ def advect_v(f, phi_prime, dt, interpolation=LINEAR, work=None):
     The departure velocity of node j in column i is v_j + phi'_i dt;
     values beyond the velocity box count as zero, so mass drains through
     the open ends.  Returns the new field together with StepLosses; with
-    evolve's workspace the field is a view of its state buffer, without one
-    a DistributionField built from fresh buffers.
+    evolve's workspace the field is a view of its half buffer, without one
+    a DistributionField built from fresh buffers.  f may be that half
+    buffer: it is copied into padded, and summed, before the first write.
     """
     grid = f.grid
     n_v = grid.n_v
@@ -218,7 +222,7 @@ def advect_v(f, phi_prime, dt, interpolation=LINEAR, work=None):
     # per side keep every window of stencil node k (k in -1..2) inside
     # the row; only the middle n_v columns are ever written.
     base, u = _split_shift(s, n_v + 2)
-    ws = (_Workspace(grid, half=False, product=interpolation != LINEAR)
+    ws = (_Workspace(grid, product=interpolation != LINEAR)
           if work is None else work)
     pad = int(np.abs(base).max()) + 2
     if ws.padded.shape[1] < n_v + 2 * pad:
@@ -232,7 +236,7 @@ def advect_v(f, phi_prime, dt, interpolation=LINEAR, work=None):
     # each node is a fresh gather; weighting it in place and summing left
     # to right keeps the bits of w0 * x0 + w1 * x1 + ...
     (k, weight), *rest = _weights(u[:, None], interpolation)
-    out = np.multiply(weight, windows[rows, start + k], out=ws.state)
+    out = np.multiply(weight, windows[rows, start + k], out=ws.half)
     for k, weight in rest:
         node = windows[rows, start + k]
         out += np.multiply(weight, node, out=node)
@@ -261,6 +265,21 @@ def strang_step(f, dt, interpolation=LINEAR, work=None):
     return _result(work, f.grid, out.values), losses
 
 
+def _aborted(k, exc):
+    return SolverAbort("aborted at step %d: %s" % (k, exc))
+
+
+def _join(pending):
+    """Wait for the observer call in flight, if any, and re-raise its
+    failure under evolve's abort rule at the step it recorded."""
+    if pending is not None:
+        k, call = pending
+        try:
+            call.result()
+        except (ValueError, ArithmeticError) as exc:
+            raise _aborted(k, exc) from exc
+
+
 def evolve(f0, config, observer=None, t_start=0.0):
     """March f0 forward to t_end and return an EvolveResult.
 
@@ -271,17 +290,26 @@ def evolve(f0, config, observer=None, t_start=0.0):
 
     When an observer is given it is called as observer(time, field) at
     step 0 and after every record_every-th step; what to measure there is
-    the caller's choice.  One abort rule covers the step, the mass
-    renormalization and the observer: a ValueError or ArithmeticError at
-    step k (a non-finite force, all mass gone from the velocity box, a
-    failed measurement) becomes SolverAbort("aborted at step k: ...").
+    the caller's choice.  The calls run in record order on one worker
+    thread, one at a time, each in a copy of the caller's context (so the
+    caller's np.errstate holds there), while evolve steps on: a call may
+    overlap the steps up to the next record, which waits for it.  One
+    abort rule covers the step, the mass renormalization and the
+    observer: a ValueError or ArithmeticError at step k (a non-finite
+    force, all mass gone from the velocity box, a failed measurement of
+    the record at step k) becomes SolverAbort("aborted at step k: ...").
     Other exceptions, such as an OSError from a snapshot write, pass
-    through unwrapped.
+    through unwrapped.  The first failure in step order wins: an observer
+    call's failure is raised when evolve waits for it, at the next record
+    or at the end of the run, and a failing step first waits for the call
+    in flight, whose failure then wins over the step's own.  No thread
+    outlives the call.
 
     The state is stepped in place in one workspace.  A DistributionField
     is built only where a caller can keep one: for each observer call
     after step 0 (step 0 passes f0 itself) and for the result, which is
-    the last observed field when the last step was observed.
+    the last observed field when the last step was observed.  The steps
+    write only workspace buffers, never a field an observer holds.
     """
     steps = int(round(config.t_end / config.dt))
     grid = f0.grid
@@ -289,31 +317,40 @@ def evolve(f0, config, observer=None, t_start=0.0):
     work = _Workspace(grid)
     state = kept = f0
     outflow = clipped_mass = 0.0
-    for k in range(steps + 1):
-        try:
-            if k > 0:
-                # the observer is done with the last record; dropping it
-                # here frees its memory before the step
-                kept = None
-                state, losses = strang_step(state, config.dt,
-                                            config.interpolation, work)
-                outflow += losses.outflow
-                clipped_mass += losses.clipped_mass
-                m = mass(state)
-                if m0 > 0.0 and abs(m - m0) > 1e-13 * m0:
-                    if m == 0.0:
-                        raise ValueError("all mass left the velocity box")
-                    # a non-finite state has mass inf or NaN; its NaN
-                    # products are left for the check below to report
-                    with np.errstate(invalid="ignore"):
-                        np.multiply(state.values, m0 / m, out=state.values)
-                _check_values(state.values, "field", nonnegative=True)
-            if observer is not None and k % config.record_every == 0:
-                if kept is None:
+    pending = None
+    with ThreadPoolExecutor(1) as pool:
+        for k in range(steps + 1):
+            record = observer is not None and k % config.record_every == 0
+            try:
+                if k > 0:
+                    # the field of the last record, if any, stays with its
+                    # observer call, not with the result
+                    kept = None
+                    state, losses = strang_step(state, config.dt,
+                                                config.interpolation, work)
+                    outflow += losses.outflow
+                    clipped_mass += losses.clipped_mass
+                    m = mass(state)
+                    if m0 > 0.0 and abs(m - m0) > 1e-13 * m0:
+                        if m == 0.0:
+                            raise ValueError("all mass left the velocity box")
+                        # a non-finite state has mass inf or NaN; its NaN
+                        # products are left for the check below to report
+                        with np.errstate(invalid="ignore"):
+                            np.multiply(state.values, m0 / m, out=state.values)
+                    _check_values(state.values, "field", nonnegative=True)
+                if record and kept is None:
                     kept = DistributionField(grid, state.values)
-                observer(t_start + k * config.dt, kept)
-        except (ValueError, ArithmeticError) as exc:
-            raise SolverAbort("aborted at step %d: %s" % (k, exc)) from exc
+            except BaseException as exc:
+                _join(pending)
+                if isinstance(exc, (ValueError, ArithmeticError)):
+                    raise _aborted(k, exc) from exc
+                raise
+            if record:
+                _join(pending)
+                pending = k, pool.submit(contextvars.copy_context().run, observer,
+                                         t_start + k * config.dt, kept)
+        _join(pending)
     if kept is None:
         kept = DistributionField(grid, state.values)
     return EvolveResult(kept, t_start + steps * config.dt, steps,

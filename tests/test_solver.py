@@ -1,5 +1,8 @@
 """Split-step transport: advection kernels, invariants, convergence."""
 
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import hmfp.solver
 from hmfp.casimir import entropy_spec
 from hmfp.errors import SolverAbort
 from hmfp.functionals import mass, momentum, weighted_l1_distance
@@ -289,6 +293,33 @@ def test_theta_advection_may_read_the_buffer_it_writes(parity, data, dt):
         assert out.values.tobytes() == reference_advect_theta(f, dt, mode).tobytes()
 
 
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dt=steps)
+def test_v_advection_may_read_the_buffer_it_writes(parity, data, dt):
+    """strang_step passes half to v advection as its input and its
+    output: the kernel must copy and sum its input before it writes, and
+    write every cell it returns."""
+    f = data.draw(fields(st.integers(4, 20).map(lambda k: 2 * k + parity)))
+    n_v = f.grid.n_v
+    ws = _Workspace(f.grid)
+    ws.gather = np.empty_like(ws.product)
+    for mode in (LINEAR, CUBIC):
+        phi_prime = data.draw(forces(f.grid, dt))
+        for buf in (ws.half, ws.product, ws.gather):
+            buf.fill(np.nan)
+        # padded's guard cells are zeros by its contract; the kernel
+        # overwrites only the middle n_v columns
+        pad = (ws.padded.shape[1] - n_v) // 2
+        ws.padded[:, pad:pad + n_v] = np.nan
+        ws.half[...] = f.values
+        out, losses = advect_v(_StepField(f.grid, ws.half), phi_prime, dt, mode, ws)
+        ref, ref_losses = advect_v(f, phi_prime, dt, mode)
+        assert out.values is ws.half
+        assert out.values.tobytes() == ref.values.tobytes()
+        assert losses == ref_losses
+
+
 def test_theta_stencil_is_built_once_per_grid_and_dt():
     advect_theta(wavy_gaussian(make_grid(24, 16, 3.0)), 0.123)
     before = _theta_stencil.cache_info()
@@ -493,6 +524,129 @@ def test_evolve_aborts_when_the_observer_fails():
     with pytest.raises(SolverAbort, match="aborted at step 6: measurement failed"):
         evolve(f0, SolverConfig(dt=0.1, t_end=1.0, record_every=3), observer)
     assert len(calls) == 3
+
+
+def failing_steps(monkeypatch, exc, failed):
+    """Make evolve's second strang_step set the event failed and raise exc."""
+    step = hmfp.solver.strang_step
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            failed.set()
+            raise exc
+        return step(*args)
+
+    monkeypatch.setattr(hmfp.solver, "strang_step", failing)
+
+
+@pytest.mark.parametrize("exc", [ValueError("step failed"),
+                                 RuntimeError("step failed"),
+                                 OSError("step failed")])
+def test_evolve_reports_the_observer_failure_before_a_later_step_failure(
+        monkeypatch, exc):
+    """The observer call of step 1 is still running when step 2 fails:
+    evolve waits for it, and its earlier failure wins."""
+    failed = threading.Event()
+    failing_steps(monkeypatch, exc, failed)
+
+    def observer(t, fld):
+        if t > 0.0:
+            assert failed.wait(10.0)
+            raise ValueError("measurement failed")
+
+    with pytest.raises(SolverAbort, match="aborted at step 1: measurement failed"):
+        evolve(wavy_gaussian(default_grid(16)), SolverConfig(dt=0.1, t_end=0.5),
+               observer)
+
+
+@pytest.mark.parametrize("exc, raised, match", [
+    (ValueError("step failed"), SolverAbort, "aborted at step 2: step failed"),
+    (RuntimeError("step failed"), RuntimeError, "^step failed$")])
+def test_evolve_reports_a_step_failure_after_the_observer_succeeds(
+        monkeypatch, exc, raised, match):
+    failed = threading.Event()
+    failing_steps(monkeypatch, exc, failed)
+    seen = []
+
+    def observer(t, fld):
+        if t > 0.0:
+            assert failed.wait(10.0)
+        seen.append(t)
+
+    with pytest.raises(raised, match=match):
+        evolve(wavy_gaussian(default_grid(16)), SolverConfig(dt=0.1, t_end=0.5),
+               observer)
+    assert seen == pytest.approx([0.0, 0.1])
+
+
+def test_evolve_passes_an_observer_oserror_through_unwrapped():
+    error = OSError("disk full")
+    calls = []
+
+    def observer(t, fld):
+        calls.append(t)
+        if len(calls) == 2:
+            raise error
+
+    with pytest.raises(OSError) as info:
+        evolve(wavy_gaussian(default_grid(16)), SolverConfig(dt=0.1, t_end=1.0),
+               observer)
+    assert info.value is error
+    assert len(calls) == 2
+
+
+def test_evolve_leaves_no_thread_behind():
+    f0 = wavy_gaussian(default_grid(16))
+    config = SolverConfig(dt=0.1, t_end=0.5)
+    before = threading.active_count()
+    evolve(f0, config, lambda t, fld: None)
+    assert threading.active_count() == before
+
+    def observer(t, fld):
+        if t > 0.25:
+            raise ValueError("measurement failed")
+
+    with pytest.raises(SolverAbort, match="aborted at step 3"):
+        evolve(f0, config, observer)
+    assert threading.active_count() == before
+    with pytest.raises(SolverAbort, match="aborted at step 1: all mass left"):
+        evolve(drain_field(), SolverConfig(dt=0.5, t_end=1.0), lambda t, fld: None)
+    assert threading.active_count() == before
+
+
+def test_evolve_observer_calls_arrive_in_order_one_at_a_time():
+    busy = threading.Lock()
+    times = []
+
+    def observer(t, fld):
+        assert busy.acquire(blocking=False), "observer calls overlap"
+        try:
+            time.sleep(0.002)
+            times.append(t)
+        finally:
+            busy.release()
+
+    config = SolverConfig(dt=0.1, t_end=2.0, record_every=2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        evolve(wavy_gaussian(default_grid(16)), config, observer)
+    finally:
+        sys.setswitchinterval(interval)
+    assert times == pytest.approx([0.2 * k for k in range(11)])
+
+
+def test_evolve_observer_runs_under_the_callers_errstate():
+    def observer(t, fld):
+        if t > 0.0:
+            fld.values.max() * np.float64(1e308) * np.float64(1e308)
+
+    with np.errstate(over="raise"):
+        with pytest.raises(SolverAbort, match="aborted at step 1: overflow"):
+            evolve(wavy_gaussian(default_grid(16)), SolverConfig(dt=0.1, t_end=0.5),
+                   observer)
 
 
 def test_evolve_aborts_when_all_mass_drains():
