@@ -108,6 +108,17 @@ class DistributionField:
                         nonnegative=True)
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _frozen(cls, grid: PhaseGrid, values: np.ndarray) -> DistributionField:
+        """A field on values itself, frozen in place without _adopt's copy:
+        the caller hands over a C-contiguous float64 array of the grid's
+        shape that _check_values has passed as nonnegative."""
+        values.flags.writeable = False
+        out = object.__new__(cls)
+        object.__setattr__(out, "grid", grid)
+        object.__setattr__(out, "values", values)
+        return out
+
     def __repr__(self) -> str:
         return f"DistributionField(grid={self.grid!r}, max={self.values.max():.6g})"
 

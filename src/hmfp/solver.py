@@ -12,6 +12,7 @@ and that loss is tallied rather than hidden.
 
 import contextvars
 import functools
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -26,6 +27,12 @@ from .interaction import solve_potential
 
 LINEAR = "linear"
 CUBIC = "cubic"
+
+# Steps run one at a time in Python, and even on the smallest 8x8 grid one
+# costs about 0.1 ms (0.13 ms on a 2-CPU host), so this many take over a
+# quarter of an hour there and hours at 512^2: a longer run is a mistyped
+# dt or t_end, such as a tiny dt that would loop for 1e299 steps.
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -44,6 +51,11 @@ class SolverConfig:
             raise ValueError("dt must not exceed 0.5")
         if not 0.0 <= self.t_end < np.inf:
             raise ValueError("t_end must be finite and nonnegative")
+        # round(t_end / dt) <= MAX_STEPS, tested on the ratio, which a tiny
+        # dt can make inf where round() would raise
+        if not self.t_end / self.dt < MAX_STEPS + 0.5:
+            raise ValueError("dt must leave round(t_end / dt) at most %d steps"
+                             % MAX_STEPS)
         if self.interpolation not in (LINEAR, CUBIC):
             raise ValueError("interpolation must be 'linear' or 'cubic'")
         # the bounds come first: int() of inf or NaN raises its own error
@@ -75,11 +87,15 @@ class EvolveResult:
     clipped_mass: float
 
 
-def _split_shift(shift, limit=np.inf):
-    """Split real shifts into an integer base, clipped to +-limit before
-    its cast, and a fraction in [0, 1) taken from the unclipped floor."""
+def _split_shift(shift, limit=np.inf, period=None):
+    """Split real shifts into an integer base and a fraction in [0, 1)
+    taken from the unchanged floor.  Before its int cast the base is
+    clipped to +-limit, or reduced modulo period in floating point, which
+    is exact, so the cast never sees a value beyond int64."""
     base = np.floor(shift)
     frac = shift - base
+    if period is not None:
+        base = base % period
     return np.clip(base, -limit, limit).astype(np.int64), frac
 
 
@@ -108,9 +124,12 @@ def _theta_stencil(grid, dt):
     array is read-only because every caller shares them.
     """
     n_v = grid.n_v
-    base, u = _split_shift(-grid.v * dt / grid.d_theta)
-    lower = (np.arange(grid.n_theta)[:, None] + base[None, :]) % grid.n_theta
-    index = lower * n_v + np.arange(n_v)[None, :]
+    base, u = _split_shift(-grid.v * dt / grid.d_theta, period=grid.n_theta)
+    # built in place: one n_theta x n_v int64 array at a time
+    index = np.arange(grid.n_theta)[:, None] + base[None, :]
+    index %= grid.n_theta
+    index *= n_v
+    index += np.arange(n_v)
     stencils = {mode: _weights(u, mode) for mode in (LINEAR, CUBIC)}
     index.flags.writeable = False
     for stencil in stencils.values():
@@ -138,7 +157,8 @@ class _Workspace:
     gather, is allocated by the first cubic theta advection, and padded,
     the zero-guarded copy that v advection reads, only ever grows.  A
     linear v advection called without a workspace needs no product, which
-    is then None.
+    is then None.  evolve gives half a new buffer after each record, whose
+    field keeps the one the step wrote.
     """
 
     def __init__(self, grid, product=True):
@@ -265,6 +285,16 @@ def strang_step(f, dt, interpolation=LINEAR, work=None):
     return _result(work, f.grid, out.values), losses
 
 
+def _sole_refs():
+    """What sys.getrefcount reports for an object that only one local name
+    refers to; interpreters differ in whether the call's own argument counts."""
+    probe = object()
+    return sys.getrefcount(probe)
+
+
+_SOLE_REFS = _sole_refs()
+
+
 def _aborted(k, exc):
     return SolverAbort("aborted at step %d: %s" % (k, exc))
 
@@ -305,17 +335,25 @@ def evolve(f0, config, observer=None, t_start=0.0):
     in flight, whose failure then wins over the step's own.  No thread
     outlives the call.
 
-    The state is stepped in place in one workspace.  A DistributionField
-    is built only where a caller can keep one: for each observer call
-    after step 0 (step 0 passes f0 itself) and for the result, which is
-    the last observed field when the last step was observed.  The steps
-    write only workspace buffers, never a field an observer holds.
+    The state is stepped in place in one workspace, whose half buffer
+    each step writes.  A record after step 0 (step 0 passes f0 itself)
+    owns the buffer its step wrote: that buffer, renormalized and checked
+    in the step, is frozen in place as the record's DistributionField,
+    with no copy and no second check, and later steps write another
+    buffer.  Once the previous record's observer call has returned, its
+    buffer becomes the half buffer again if nothing outside evolve refers
+    to it (neither that field, nor any view of its values); otherwise the
+    half buffer is a fresh one, and a kept field or view never changes.
+    The result is the last observed field when the last step was observed,
+    else the last state frozen in place.
     """
     steps = int(round(config.t_end / config.dt))
     grid = f0.grid
     m0 = mass(f0)
     work = _Workspace(grid)
     state = kept = f0
+    # values of the last record built here, once its call is submitted
+    prev = None
     outflow = clipped_mass = 0.0
     pending = None
     with ThreadPoolExecutor(1) as pool:
@@ -339,8 +377,8 @@ def evolve(f0, config, observer=None, t_start=0.0):
                         with np.errstate(invalid="ignore"):
                             np.multiply(state.values, m0 / m, out=state.values)
                     _check_values(state.values, "field", nonnegative=True)
-                if record and kept is None:
-                    kept = DistributionField(grid, state.values)
+                    if record:
+                        kept = state = DistributionField._frozen(grid, state.values)
             except BaseException as exc:
                 _join(pending)
                 if isinstance(exc, (ValueError, ArithmeticError)):
@@ -348,10 +386,19 @@ def evolve(f0, config, observer=None, t_start=0.0):
                 raise
             if record:
                 _join(pending)
+                if k > 0:
+                    # the worker may still hold the returned call's
+                    # arguments, and with them prev: then a fresh buffer
+                    if prev is not None and sys.getrefcount(prev) <= _SOLE_REFS:
+                        prev.flags.writeable = True
+                        work.half = prev
+                    else:
+                        work.half = np.empty_like(kept.values)
+                    prev = kept.values
                 pending = k, pool.submit(contextvars.copy_context().run, observer,
                                          t_start + k * config.dt, kept)
         _join(pending)
     if kept is None:
-        kept = DistributionField(grid, state.values)
+        kept = DistributionField._frozen(grid, state.values)
     return EvolveResult(kept, t_start + steps * config.dt, steps,
                         outflow, clipped_mass)

@@ -390,11 +390,13 @@ def auxiliary_energy_one(phi: Potential, spec: CasimirSpec, lam: float) -> float
 
 def _check_fixed_point_settings(damping, tol, max_iter):
     """The one rule for damped fixed-point settings, shared by the library
-    and the config: damping in (0, 1], tol >= 0 (NaN fails) and max_iter >= 1."""
+    and the config: damping in (0, 1], tol finite and >= 0 (NaN fails; an
+    infinite tol passes any defect, so one step would end the solve) and
+    max_iter >= 1."""
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
-    if not tol >= 0.0:
-        raise ValueError("tol must be nonnegative")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError("tol must be nonnegative and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 

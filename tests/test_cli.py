@@ -215,7 +215,11 @@ def test_nonconvergence_exits_two(tmp_path, monkeypatch, capsys):
     {"solver.damping": "0"},
     {"solver.max_iter": "0"},
     {"solver.tol": "-1"},
+    # an infinite tol would pass the first defect, whatever it is
+    {"solver.tol": "inf"},
     {"solver.dt": "0"},
+    # round(t_end / dt) = 5e299 steps would never end
+    {"solver.dt": "1e-300"},
     {"solver.t_end": "-1"},
     {"solver.t_end": "nan"},
     {"solver.t_end": "inf"},
