@@ -7,9 +7,10 @@ once and shared by every run.  A sweep fans the run out over the listed
 values of one config key, each variant isolated in its own directory,
 named by the hash of its config, the command and the input's bytes;
 the worker pool has one thread per CPU this process may run on, capped
-by HMFP_THREADS (each evolve or stability run adds one observer thread
-of its own, see solver.evolve), and the variants' result lines come
-in the listed order.  Exit codes: 0 success, 1 a bad command line,
+by HMFP_THREADS (each evolve or stability run adds one worker thread of
+its own, which takes its measurements and, on a large grid, half of each
+step; see solver.evolve), and the variants' result lines come in the
+listed order.  Exit codes: 0 success, 1 a bad command line,
 config or I/O trouble, a number out of range, or too little memory, 2
 an iterative solve failed to converge, 3 the time integrator aborted.  A
 steady state whose grid mass misses constraints.m1 by more than 1% exits
@@ -23,7 +24,6 @@ import ctypes
 import functools
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .config import load_config
 from .errors import ConfigError, ConvergenceError, SolverAbort
@@ -142,6 +142,9 @@ def main(argv=None):
         if len(jobs) == 1:
             _report(*_dispatch(args.command, jobs[0], snapshot))
         else:
+            # imported here, so a single run never loads it (or logging)
+            from concurrent.futures import ThreadPoolExecutor
+
             workers = _worker_count(len(jobs))
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_dispatch, args.command, job, snapshot)

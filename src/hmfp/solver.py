@@ -8,13 +8,21 @@ either linear (positive, monotone) or cubic Lagrange (higher order,
 clipped) weights.  Advection in theta is periodic and conservative per v
 row; advection in v loses mass through the open ends of the velocity box,
 and that loss is tallied rather than hidden.
+
+Every pass of a step except its whole-array sums is row-local, and each
+is written once, as a body over a row range.  Under evolve on a large grid
+the caller's thread runs it on one row half and evolve's worker thread on
+the other; every other caller runs it over all rows on one thread.  Both
+give the same bits.
 """
 
 import contextvars
 import functools
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
+from itertools import chain
+from queue import SimpleQueue
 from typing import NamedTuple
 
 import numpy as np
@@ -147,26 +155,142 @@ class _StepField(NamedTuple):
     values: np.ndarray
 
 
+# A split pass hands one row half to evolve's worker thread.  Measured in
+# a 512^2 linear evolve with a diagnostics observer on a 2-CPU host
+# (Python 3.11, numpy 2.4), the hand-off costs about 40 us a pass: the
+# worker starts a half a median 20-30 us after it is posted, and the
+# caller resumes 13-16 us after the worker ends.  The six split passes of
+# a linear step take about 11 ns a cell in all, so halving one of average
+# cost repays its hand-off from about 2 * 40 us / (11 ns / 6) = 44k cells;
+# the next power of two keeps 256^2, where such runs gained nothing, on
+# one lane.
+_SPLIT_CELLS = 2**16
+
+
+class _Job:
+    """One call posted to a _Lane: fn(*args) in a copy of the poster's
+    context (so its np.errstate holds there).  Whoever claims the job
+    first runs it, the worker or, through take_back, the poster."""
+
+    __slots__ = ("_call", "_claim", "_done", "_error")
+
+    def __init__(self, fn, args):
+        self._call = functools.partial(contextvars.copy_context().run, fn, *args)
+        self._claim = threading.Lock()
+        self._done = threading.Lock()
+        self._done.acquire()
+        self._error = None
+
+    def run(self):
+        """Run the job on the worker unless it was taken back."""
+        if not self._claim.acquire(blocking=False):
+            return
+        try:
+            self._call()
+        except BaseException as exc:  # returned by wait() to the poster
+            self._error = exc
+        finally:
+            # the call's arguments go before the poster can wake: evolve
+            # reads a record buffer's refcount once the call has returned
+            self._call = None
+            self._done.release()
+
+    def take_back(self):
+        """Claim the job for the poster if the worker has not started it."""
+        if not self._claim.acquire(blocking=False):
+            return False
+        self._call = None
+        return True
+
+    def wait(self):
+        """Wait for the worker to finish the job; return its failure."""
+        self._done.acquire()
+        return self._error
+
+
+class _Lane:
+    """evolve's one worker thread, started by the first post and joined
+    by close.  It runs jobs in the order they were posted: observer calls,
+    and the far row half of each split pass, which the caller takes back
+    if the worker has not started it by the time the near half is done."""
+
+    def __init__(self):
+        self._jobs = SimpleQueue()
+        self._thread = None
+
+    def post(self, fn, *args):
+        if self._thread is None:
+            thread = threading.Thread(target=self._serve, name="hmfp-evolve")
+            thread.start()
+            self._thread = thread
+        job = _Job(fn, args)
+        self._jobs.put(job)
+        return job
+
+    def _serve(self):
+        for job in iter(self._jobs.get, None):
+            job.run()
+
+    def split(self, body, n):
+        """body(lo, hi) over the rows [0, n): the worker takes [n // 2, n)
+        unless the caller, done with [0, n // 2), takes it back first.  A
+        failure of either half is re-raised unchanged once both are over;
+        the near half's wins."""
+        mid = n // 2
+        job = self.post(body, mid, n)
+        try:
+            body(0, mid)
+        except BaseException:
+            if not job.take_back():
+                job.wait()
+            raise
+        if job.take_back():
+            body(mid, n)
+        elif (error := job.wait()) is not None:
+            raise error
+
+    def close(self):
+        if self._thread is not None:
+            self._jobs.put(None)
+            self._thread.join()
+            self._thread = None
+
+
 class _Workspace:
-    """The step buffers of one evolve call on one grid.
+    """The step buffers of one evolve call on one grid, and its lane.
 
     Theta and v advection both write to half, which within a step is
     also their input: each reads its input whole, into a gather or into
     padded, before it writes.  product holds each weighted stencil node,
     and in linear mode the theta gather too.  gather, the cubic theta
     gather, is allocated by the first cubic theta advection, and padded,
-    the zero-guarded copy that v advection reads, only ever grows.  A
-    linear v advection called without a workspace needs no product, which
-    is then None.  evolve gives half a new buffer after each record, whose
-    field keeps the one the step wrote.
+    the shifted copy that v advection reads, only ever grows.  halo,
+    allocated by the first theta advection, holds for each row half the
+    theta gathers of the up to three rows beyond it that its stencil
+    reads, and two spare rows for their weighting.  evolve gives half a new
+    buffer after each record, whose field keeps the one the step wrote.
+
+    lane is evolve's worker thread, or None: each row-local pass of the
+    kernels runs as one body over a row range through rows(), on both
+    lanes when the grid has more than _SPLIT_CELLS cells.
     """
 
-    def __init__(self, grid, product=True):
+    def __init__(self, grid, lane=None):
         shape = (grid.n_theta, grid.n_v)
         self.half = np.empty(shape)
-        self.product = np.empty(shape) if product else None
+        self.product = np.empty(shape)
         self.gather = None
-        self.padded = np.zeros((grid.n_theta, 0))
+        self.padded = np.empty((grid.n_theta, 0))
+        self.halo = None
+        self.lane = lane
+
+    def rows(self, body):
+        """Run body(lo, hi) over every row, split in two on a large grid."""
+        n = self.half.shape[0]
+        if self.lane is None or self.half.size <= _SPLIT_CELLS:
+            body(0, n)
+        else:
+            self.lane.split(body, n)
 
 
 def _result(work, grid, values):
@@ -188,35 +312,85 @@ def advect_theta(f, dt, interpolation=LINEAR, work=None):
     The stencil index is reduced modulo n_theta and every weight is per v
     column, so stencil node k at row i is node 0 at row (i + k) mod
     n_theta: node 0 is gathered once, and each weighted node enters out as
-    two contiguous row slices.  evolve passes half back in as f, so the
-    gather and the cubic column sums are taken before out is written.
+    row slices.  A row half gathers its own rows of node 0, and the rows
+    beyond it that its stencil reads into its halo buffer, so it never
+    reads a row that the other half weights in place; over all rows the
+    stencil wraps onto the range's own rows.  evolve passes
+    half back in as f, so every range gathers, and the cubic column sums
+    are taken, before any range writes out.
     """
     grid = f.grid
     n = grid.n_theta
     ws = _Workspace(grid) if work is None else work
     index, stencils = _theta_stencil(grid, dt)
+    stencil = stencils[interpolation]
     node = ws.product
     if interpolation != LINEAR:
         if ws.gather is None:
             ws.gather = np.empty_like(ws.product)
         node = ws.gather
         old = f.values.sum(axis=0)
-    f.values.ravel().take(index, out=node, mode="clip")
+    if ws.halo is None:
+        ws.halo = np.empty((2, 5, grid.n_v))
+    src = f.values.ravel()
     out = ws.half
-    (k, weight), *rest = stencils[interpolation]
-    m = k % n
-    np.multiply(weight, node[m:], out=out[:n - m])
-    np.multiply(weight, node[:m], out=out[n - m:])
-    for k, weight in rest:
-        m = k % n
-        weighted = np.multiply(weight, node, out=ws.product)
-        out[:n - m] += weighted[m:]
-        out[n - m:] += weighted[:m]
+    # stencil rows before and after a row range: of the range itself,
+    # wrapped, when it is every row, else read from its halo
+    before, after = -stencil[0][0], stencil[-1][0]
+
+    def gather(lo, hi):
+        src.take(index[lo:hi], out=node[lo:hi], mode="clip")
+        if hi - lo < n:
+            halo = ws.halo[1 if lo else 0]
+            for slot, row in enumerate(chain(range(lo - before, lo), range(hi, hi + after))):
+                src.take(index[row % n], out=halo[slot], mode="clip")
+
+    def combine(lo, hi):
+        halo = ws.halo[1 if lo else 0]
+        spare = halo[before + after:]
+
+        def edge(i, j, row, weight, weighted):
+            # out rows [i, j) from node rows row, row + 1, ... beyond the
+            # range; weighted, the range's weighted node, is None for the
+            # first node, which out takes by assignment
+            if j <= i:
+                return
+            if hi - lo == n:
+                row %= n
+                if weighted is None:
+                    np.multiply(weight, node[row:row + j - i], out=out[i:j])
+                else:
+                    out[i:j] += weighted[row:row + j - i]
+                return
+            slot = before + row - (lo if row < lo else hi)
+            node_rows = halo[slot:slot + j - i]
+            if weighted is None:
+                np.multiply(weight, node_rows, out=out[i:j])
+            else:
+                out[i:j] += np.multiply(weight, node_rows, out=spare[:j - i])
+
+        for m, (k, weight) in enumerate(stencil):
+            # rows [a, b) read node rows [a + k, b + k) of the range, the
+            # rows before a and from b on the rows beyond it
+            a = min(max(lo, lo - k), hi)
+            b = max(min(hi, hi - k), a)
+            weighted = None
+            if m == 0:
+                np.multiply(weight, node[a + k:b + k], out=out[a:b])
+            else:
+                weighted = np.multiply(weight, node[lo:hi], out=ws.product[lo:hi])
+                out[a:b] += weighted[a + k - lo:b + k - lo]
+            edge(lo, a, lo + k, weight, weighted)
+            edge(b, hi, b + k, weight, weighted)
+        if interpolation != LINEAR:
+            np.maximum(out[lo:hi], 0.0, out=out[lo:hi])
+
+    ws.rows(gather)
+    ws.rows(combine)
     if interpolation != LINEAR:
-        np.maximum(out, 0.0, out=out)
         new = out.sum(axis=0)
         scale = np.where(new > 0.0, old / np.where(new > 0.0, new, 1.0), 1.0)
-        out *= scale[None, :]
+        ws.rows(lambda lo, hi: np.multiply(out[lo:hi], scale, out=out[lo:hi]))
     return _result(work, grid, out)
 
 
@@ -228,7 +402,8 @@ def advect_v(f, phi_prime, dt, interpolation=LINEAR, work=None):
     the open ends.  Returns the new field together with StepLosses; with
     evolve's workspace the field is a view of its half buffer, without one
     a DistributionField built from fresh buffers.  f may be that half
-    buffer: it is copied into padded, and summed, before the first write.
+    buffer: it is summed first, and each row range copies its rows into
+    padded before it writes them.
     """
     grid = f.grid
     n_v = grid.n_v
@@ -238,33 +413,46 @@ def advect_v(f, phi_prime, dt, interpolation=LINEAR, work=None):
         raise ValueError("force is not finite")
     # A row shifted by more than n_v + 2 cells reads only zeros either
     # way, so clipping base, before its int cast, bounds the padding and
-    # keeps a huge finite shift castable.  At least pad zero guard cells
-    # per side keep every window of stencil node k (k in -1..2) inside
-    # the row; only the middle n_v columns are ever written.
+    # keeps a huge finite shift castable.  Row i is copied into padded at
+    # column pad - base_i, so stencil node k (k in -1..2) of every row is
+    # the column slice starting at pad + k; pad >= |base| + 2 keeps each
+    # slice inside the row.
     base, u = _split_shift(s, n_v + 2)
-    ws = (_Workspace(grid, product=interpolation != LINEAR)
-          if work is None else work)
+    ws = _Workspace(grid) if work is None else work
     pad = int(np.abs(base).max()) + 2
     if ws.padded.shape[1] < n_v + 2 * pad:
-        ws.padded = np.zeros((grid.n_theta, n_v + 2 * pad))
-    pad = (ws.padded.shape[1] - n_v) // 2
-    ws.padded[:, pad:pad + n_v] = values
-    total = values.sum()
-    windows = sliding_window_view(ws.padded, n_v, axis=1)
+        ws.padded = np.empty((grid.n_theta, n_v + 2 * pad))
+    padded = ws.padded
+    pad = (padded.shape[1] - n_v) // 2
+    windows = sliding_window_view(padded, n_v, axis=1, writeable=True)
     rows = np.arange(grid.n_theta)
-    start = base + pad
-    # each node is a fresh gather; weighting it in place and summing left
-    # to right keeps the bits of w0 * x0 + w1 * x1 + ...
-    (k, weight), *rest = _weights(u[:, None], interpolation)
-    out = np.multiply(weight, windows[rows, start + k], out=ws.half)
-    for k, weight in rest:
-        node = windows[rows, start + k]
-        out += np.multiply(weight, node, out=node)
+    dest = pad - base
+    stencil = _weights(u[:, None], interpolation)
+    total = values.sum()
+    out = ws.half
+
+    def kick(lo, hi):
+        # the copy starts in [2, 2 pad - 2], so with these two bands it
+        # rewrites every column of the rows
+        padded[lo:hi, :2 * pad] = 0.0
+        padded[lo:hi, n_v:] = 0.0
+        windows[rows[lo:hi], dest[lo:hi]] = values[lo:hi]
+        # weighting each node and summing left to right keeps the bits of
+        # w0 * x0 + w1 * x1 + ...
+        (k, weight), *rest = stencil
+        np.multiply(weight[lo:hi], padded[lo:hi, pad + k:pad + k + n_v],
+                    out=out[lo:hi])
+        for k, weight in rest:
+            out[lo:hi] += np.multiply(weight[lo:hi], padded[lo:hi, pad + k:pad + k + n_v],
+                                      out=ws.product[lo:hi])
+        if interpolation != LINEAR:
+            np.minimum(out[lo:hi], 0.0, out=ws.product[lo:hi])
+            np.maximum(out[lo:hi], 0.0, out=out[lo:hi])
+
+    ws.rows(kick)
     clipped = 0.0
     if interpolation != LINEAR:
-        negative = np.minimum(out, 0.0, out=ws.product)
-        clipped = -float(negative.sum()) * grid.cell_area + 0.0
-        np.maximum(out, 0.0, out=out)
+        clipped = -float(ws.product.sum()) * grid.cell_area + 0.0
     outflow = float(total - out.sum()) * grid.cell_area + clipped
     return _result(work, grid, out), StepLosses(outflow, clipped)
 
@@ -304,10 +492,11 @@ def _join(pending):
     failure under evolve's abort rule at the step it recorded."""
     if pending is not None:
         k, call = pending
-        try:
-            call.result()
-        except (ValueError, ArithmeticError) as exc:
-            raise _aborted(k, exc) from exc
+        error = call.wait()
+        if isinstance(error, (ValueError, ArithmeticError)):
+            raise _aborted(k, error) from error
+        if error is not None:
+            raise error
 
 
 def evolve(f0, config, observer=None, t_start=0.0):
@@ -320,11 +509,15 @@ def evolve(f0, config, observer=None, t_start=0.0):
 
     When an observer is given it is called as observer(time, field) at
     step 0 and after every record_every-th step; what to measure there is
-    the caller's choice.  The calls run in record order on one worker
-    thread, one at a time, each in a copy of the caller's context (so the
-    caller's np.errstate holds there), while evolve steps on: a call may
-    overlap the steps up to the next record, which waits for it.  One
-    abort rule covers the step, the mass renormalization and the
+    the caller's choice.  The calls run in record order on evolve's one
+    worker thread, one at a time, each in a copy of the caller's context
+    (so the caller's np.errstate holds there), while evolve steps on: a
+    call may overlap the steps up to the next record, which waits for it.
+    On a grid of more than _SPLIT_CELLS cells the same thread also takes
+    one row half of each row-local pass of the step, unless it is still
+    busy with an observer call when the caller is done with the other
+    half, which then takes it back: a step never waits on a measurement.
+    One abort rule covers the step, the mass renormalization and the
     observer: a ValueError or ArithmeticError at step k (a non-finite
     force, all mass gone from the velocity box, a failed measurement of
     the record at step k) becomes SolverAbort("aborted at step k: ...").
@@ -332,8 +525,9 @@ def evolve(f0, config, observer=None, t_start=0.0):
     through unwrapped.  The first failure in step order wins: an observer
     call's failure is raised when evolve waits for it, at the next record
     or at the end of the run, and a failing step first waits for the call
-    in flight, whose failure then wins over the step's own.  No thread
-    outlives the call.
+    in flight, whose failure then wins over the step's own.  The worker
+    thread is started by its first job and joined on every exit, so no
+    thread outlives the call.
 
     The state is stepped in place in one workspace, whose half buffer
     each step writes.  A record after step 0 (step 0 passes f0 itself)
@@ -350,13 +544,14 @@ def evolve(f0, config, observer=None, t_start=0.0):
     steps = int(round(config.t_end / config.dt))
     grid = f0.grid
     m0 = mass(f0)
-    work = _Workspace(grid)
+    lane = _Lane()
+    work = _Workspace(grid, lane)
     state = kept = f0
-    # values of the last record built here, once its call is submitted
+    # values of the last record built here, once its call is posted
     prev = None
     outflow = clipped_mass = 0.0
     pending = None
-    with ThreadPoolExecutor(1) as pool:
+    try:
         for k in range(steps + 1):
             record = observer is not None and k % config.record_every == 0
             try:
@@ -374,8 +569,10 @@ def evolve(f0, config, observer=None, t_start=0.0):
                             raise ValueError("all mass left the velocity box")
                         # a non-finite state has mass inf or NaN; its NaN
                         # products are left for the check below to report
+                        values, scale = state.values, m0 / m
                         with np.errstate(invalid="ignore"):
-                            np.multiply(state.values, m0 / m, out=state.values)
+                            work.rows(lambda lo, hi: np.multiply(
+                                values[lo:hi], scale, out=values[lo:hi]))
                     _check_values(state.values, "field", nonnegative=True)
                     if record:
                         kept = state = DistributionField._frozen(grid, state.values)
@@ -395,9 +592,10 @@ def evolve(f0, config, observer=None, t_start=0.0):
                     else:
                         work.half = np.empty_like(kept.values)
                     prev = kept.values
-                pending = k, pool.submit(contextvars.copy_context().run, observer,
-                                         t_start + k * config.dt, kept)
+                pending = k, lane.post(observer, t_start + k * config.dt, kept)
         _join(pending)
+    finally:
+        lane.close()
     if kept is None:
         kept = DistributionField._frozen(grid, state.values)
     return EvolveResult(kept, t_start + steps * config.dt, steps,

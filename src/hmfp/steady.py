@@ -609,6 +609,9 @@ def renormalize_to_constraints(
             gamma = (target / j_norm) ** (1.0 / (spec.p - 1.0))
         except OverflowError as exc:
             raise ValueError("the amplitude factor overflows") from exc
+    if not lam < math.inf:
+        raise ValueError("the field's mass %.6g is too small to scale to m1 = %.6g"
+                         % (total, constraints.m1))
     stretch = gamma / lam
     resampled = np.empty_like(g.values)
     sample_at = stretch * grid.v
@@ -618,5 +621,9 @@ def renormalize_to_constraints(
     kept = float(resampled.sum()) * grid.cell_area
     if not kept > 0.0:
         raise ValueError("renormalization dilated all mass out of the grid")
-    resampled *= constraints.m1 / kept
+    scale = constraints.m1 / kept
+    if not scale < math.inf:
+        raise ValueError("the resampled mass %.6g is too small to scale to m1 = %.6g"
+                         % (kept, constraints.m1))
+    resampled *= scale
     return DistributionField(grid, resampled)

@@ -5,6 +5,7 @@ import math
 import os
 import struct
 import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -446,6 +447,8 @@ RENORMALIZE = "perturbation.renormalize = true\n"
 POWER2_PAIR = "casimir = power:2\nconstraints.m1 = 3\nconstraints.mj = 1\n"
 
 
+# a numpy RuntimeWarning would be a second stderr line, or a traceback
+@pytest.mark.parametrize("action", ["default", "error"])
 @pytest.mark.parametrize("command, make_input, keys, code, message", [
     ("evolve", drain_field, "", 3,
      "solver aborted: aborted at step 1: all mass left the velocity box"),
@@ -455,6 +458,11 @@ POWER2_PAIR = "casimir = power:2\nconstraints.m1 = 3\nconstraints.mj = 1\n"
      "perturbation.renormalize: cannot renormalize the zero field"),
     ("stability", gaussian_field, RENORMALIZE + "constraints.m1 = 1e-9\n", 1,
      "perturbation.renormalize: renormalization dilated all mass out of the grid"),
+    # m1 over the subnormal mass is inf
+    ("stability", subnormal_field, RENORMALIZE + "constraints.m1 = 3\n"
+     "perturbation.kind = density_bump\nperturbation.amplitude = 1\n", 1,
+     "perturbation.renormalize: the field's mass 3.70549e-322 is too small to "
+     "scale to m1 = 3"),
     # j = t**2 underflows to 0 in every cell
     ("stability", subnormal_field, RENORMALIZE + POWER2_PAIR, 1,
      "perturbation.renormalize: the casimir integral of the field is 0,"),
@@ -468,12 +476,14 @@ POWER2_PAIR = "casimir = power:2\nconstraints.m1 = 3\nconstraints.mj = 1\n"
 ])
 def test_unkeepable_mass_exits_with_one_line(tmp_path, monkeypatch, capsys,
                                              command, make_input, keys, code,
-                                             message):
+                                             message, action):
     monkeypatch.chdir(tmp_path)
     snap = str(tmp_path / "input.snap")
     save_snapshot(make_input(), 0.0, snap)
     cfg = write_cfg(tmp_path, "solver.dt = 0.5\nsolver.t_end = 0.5\n" + keys)
-    assert main([command, "--config", cfg, "--input", snap]) == code
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        assert main([command, "--config", cfg, "--input", snap]) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert message in err

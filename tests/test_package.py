@@ -45,6 +45,20 @@ def test_numpy_is_the_only_runtime_dependency():
     assert set(out.stdout.split()) <= {"hmfp", "numpy"}, out.stdout
 
 
+def test_importing_the_cli_loads_no_thread_pool_or_logging():
+    # a pool is made, and concurrent.futures (which loads logging) imported,
+    # only by a sweep; evolve's worker thread needs neither
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = ("import sys, hmfp.cli; "
+             "print(' '.join(m for m in ('concurrent.futures', 'logging') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
+
+
 def _load_bench(name):
     """Import bench/<name>.py from its file, leaving sys.path alone."""
     spec = importlib.util.spec_from_file_location(

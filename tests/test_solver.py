@@ -9,6 +9,7 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from hmfp.solver import (
     SolverConfig,
     _split_shift,
     _StepField,
+    _Lane,
     _theta_stencil,
     _Workspace,
     advect_theta,
@@ -263,9 +265,10 @@ def test_advections_match_the_reference_gathers_bitwise(data, f, dt, mode):
 
 
 def test_standalone_linear_v_advection_allocates_only_what_it_uses():
-    """Without a workspace, linear v advection needs its output and padded
-    buffers and two node gathers, not the theta half-step or product
-    buffers of a whole evolve workspace (3.1 MB peak at 256^2 with them)."""
+    """Without a workspace, linear v advection needs its output, one
+    weighted-node buffer, padded and the copy in the field it returns
+    (2.1 MB peak at 256^2), not the theta gathers of a whole evolve
+    workspace (3.1 MB peak with a second field-sized gather)."""
     g = make_grid(256, 256, 6.0)
     f = wavy_gaussian(g)
     phi_prime = 0.3 * np.sin(g.theta)
@@ -293,7 +296,8 @@ def test_theta_advection_may_read_the_buffer_it_writes(parity, data, dt):
     ws.gather = np.empty_like(ws.product)
     for mode in (LINEAR, CUBIC):
         for buf in vars(ws).values():
-            buf.fill(np.nan)
+            if isinstance(buf, np.ndarray):
+                buf.fill(np.nan)
         ws.half[...] = f.values
         out = advect_theta(_StepField(f.grid, ws.half), dt, mode, ws)
         assert out.values is ws.half
@@ -308,23 +312,121 @@ def test_v_advection_may_read_the_buffer_it_writes(parity, data, dt):
     output: the kernel must copy and sum its input before it writes, and
     write every cell it returns."""
     f = data.draw(fields(st.integers(4, 20).map(lambda k: 2 * k + parity)))
-    n_v = f.grid.n_v
     ws = _Workspace(f.grid)
     ws.gather = np.empty_like(ws.product)
     for mode in (LINEAR, CUBIC):
         phi_prime = data.draw(forces(f.grid, dt))
-        for buf in (ws.half, ws.product, ws.gather):
+        # the kernel rewrites every column of padded, guard cells included
+        for buf in (ws.half, ws.product, ws.gather, ws.padded):
             buf.fill(np.nan)
-        # padded's guard cells are zeros by its contract; the kernel
-        # overwrites only the middle n_v columns
-        pad = (ws.padded.shape[1] - n_v) // 2
-        ws.padded[:, pad:pad + n_v] = np.nan
         ws.half[...] = f.values
         out, losses = advect_v(_StepField(f.grid, ws.half), phi_prime, dt, mode, ws)
         ref, ref_losses = advect_v(f, phi_prime, dt, mode)
         assert out.values is ws.half
         assert out.values.tobytes() == ref.values.tobytes()
         assert losses == ref_losses
+
+
+def _run_passes(f, phi_prime, dt, mode, ws):
+    """Every split kernel on one workspace, each reading half itself
+    except the first: the bytes of each output and the losses."""
+    out = []
+    theta = advect_theta(f, dt, mode, ws)
+    out.append(theta.values.tobytes())
+    theta = advect_theta(theta, dt, mode, ws)
+    out.append(theta.values.tobytes())
+    kicked, losses = advect_v(theta, phi_prime, dt, mode, ws)
+    out += [kicked.values.tobytes(), losses]
+    stepped, losses = strang_step(kicked, dt, mode, ws)
+    out += [stepped.values.tobytes(), losses]
+    return out
+
+
+class _EagerLane(_Lane):
+    """A lane whose worker has claimed each posted job, when it can within
+    a few seconds, before post returns: the far half then runs on it."""
+
+    def post(self, fn, *args):
+        job = super().post(fn, *args)
+        deadline = time.monotonic() + 5.0
+        while not job._claim.locked() and time.monotonic() < deadline:
+            time.sleep(1e-5)
+        return job
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dt=steps, mode=modes,
+       worker=st.sampled_from(["busy", "eager", "racing"]))
+def test_split_passes_match_the_single_lane_bytes(parity, data, dt, mode, worker):
+    """Each row-local pass split between the caller and a worker thread
+    gives the bytes of one body over all rows.  Halves differ in size when
+    n_theta is odd, and the stencil wraps across row 0.  A busy worker
+    makes the caller take back every far half, an eager one runs every
+    far half, and a racing one is left to the scheduler."""
+    f = data.draw(fields(st.integers(8, 40).filter(lambda n: n % 2 == parity)))
+    phi_prime = data.draw(forces(f.grid, dt))
+    single = _run_passes(f, phi_prime, dt, mode, _Workspace(f.grid))
+    lane = _EagerLane() if worker == "eager" else _Lane()
+    release = threading.Event()
+    try:
+        if worker == "busy":
+            lane.post(release.wait, 60.0)
+        with mock.patch.object(hmfp.solver, "_SPLIT_CELLS", 0):
+            split = _run_passes(f, phi_prime, dt, mode, _Workspace(f.grid, lane))
+    finally:
+        release.set()
+        lane.close()
+    assert split == single
+
+
+@pytest.mark.parametrize("mode", [LINEAR, CUBIC])
+def test_evolve_on_a_split_grid_matches_the_single_lane_run(mode):
+    """One row more than _SPLIT_CELLS cells, so the halves differ in size;
+    the narrow velocity box makes mass leave, so every step renormalizes.
+    Threads switch as often as the interpreter can during the split run."""
+    n_v = 64
+    grid = make_grid(hmfp.solver._SPLIT_CELLS // n_v + 1, n_v, 2.5)
+    f0 = wavy_gaussian(grid)
+    config = SolverConfig(dt=0.2, t_end=0.8, interpolation=mode)
+    runs = []
+    interval = sys.getswitchinterval()
+    for cells, switch in ((hmfp.solver._SPLIT_CELLS, 1e-6), (math.inf, interval)):
+        kept = []
+        sys.setswitchinterval(switch)
+        try:
+            with mock.patch.object(hmfp.solver, "_SPLIT_CELLS", cells):
+                res = evolve(f0, config, lambda t, fld: kept.append((t, fld)))
+        finally:
+            sys.setswitchinterval(interval)
+        runs.append((res, [(t, fld.values.tobytes()) for t, fld in kept]))
+    (res, kept), (ref, ref_kept) = runs
+    assert len(kept) == 5 and kept == ref_kept
+    assert res.field.values.tobytes() == ref.field.values.tobytes()
+    assert res.boundary_loss > 0.0
+    assert (res.boundary_loss, res.clipped_mass) == (ref.boundary_loss, ref.clipped_mass)
+
+
+@pytest.mark.parametrize("failing", ["near", "far", "both"])
+def test_a_split_pass_re_raises_a_failing_half_unchanged(failing):
+    """The near half's failure wins; either way both halves are over when
+    the caller raises, and the lane serves the next pass."""
+    lane = _Lane()
+    errors = {0: FloatingPointError("near half"), 4: FloatingPointError("far half")}
+
+    def body(lo, hi):
+        if failing in ("both", "near" if lo == 0 else "far"):
+            raise errors[lo]
+
+    seen = []
+    try:
+        with pytest.raises(FloatingPointError) as info:
+            lane.split(body, 9)
+        lane.split(lambda lo, hi: seen.append((lo, hi)), 9)
+    finally:
+        lane.close()
+    assert info.value is errors[4 if failing == "far" else 0]
+    assert sorted(seen) == [(0, 4), (4, 9)]
 
 
 def test_theta_stencil_is_built_once_per_grid_and_dt():
