@@ -10,10 +10,10 @@ row; advection in v loses mass through the open ends of the velocity box,
 and that loss is tallied rather than hidden.
 
 Every pass of a step except its whole-array sums is row-local, and each
-is written once, as a body over a row range.  Under evolve on a large grid
-the caller's thread runs it on one row half and evolve's worker thread on
-the other; every other caller runs it over all rows on one thread.  Both
-give the same bits.
+is written once, as a body over a row range.  Under an observed evolve on
+a large grid the caller's thread runs it on one row half and the worker
+thread that runs the observer on the other; every other caller runs it
+over all rows on one thread.  Both give the same bits.
 """
 
 import contextvars
@@ -293,6 +293,13 @@ class _Workspace:
             self.lane.split(body, n)
 
 
+def _scale_rows(values, scale, lo, hi):
+    """Multiply rows [lo, hi) of values by scale in place.  A body bound
+    with functools.partial, so no frame of evolve keeps a name for the
+    buffer: evolve's refcount test of a record buffer sees only its field."""
+    np.multiply(values[lo:hi], scale, out=values[lo:hi])
+
+
 def _result(work, grid, values):
     """A kernel's output field: a view into the caller's workspace, or a
     DistributionField when the kernel ran on buffers of its own."""
@@ -312,12 +319,11 @@ def advect_theta(f, dt, interpolation=LINEAR, work=None):
     The stencil index is reduced modulo n_theta and every weight is per v
     column, so stencil node k at row i is node 0 at row (i + k) mod
     n_theta: node 0 is gathered once, and each weighted node enters out as
-    row slices.  A row half gathers its own rows of node 0, and the rows
+    row slices.  A row range gathers its own rows of node 0, and the rows
     beyond it that its stencil reads into its halo buffer, so it never
-    reads a row that the other half weights in place; over all rows the
-    stencil wraps onto the range's own rows.  evolve passes
-    half back in as f, so every range gathers, and the cubic column sums
-    are taken, before any range writes out.
+    reads a row that another range weights in place.  evolve passes half
+    back in as f, so every range gathers, and the cubic column sums are
+    taken, before any range writes out.
     """
     grid = f.grid
     n = grid.n_theta
@@ -334,16 +340,14 @@ def advect_theta(f, dt, interpolation=LINEAR, work=None):
         ws.halo = np.empty((2, 5, grid.n_v))
     src = f.values.ravel()
     out = ws.half
-    # stencil rows before and after a row range: of the range itself,
-    # wrapped, when it is every row, else read from its halo
+    # stencil rows before and after a row range, read from its halo
     before, after = -stencil[0][0], stencil[-1][0]
 
     def gather(lo, hi):
         src.take(index[lo:hi], out=node[lo:hi], mode="clip")
-        if hi - lo < n:
-            halo = ws.halo[1 if lo else 0]
-            for slot, row in enumerate(chain(range(lo - before, lo), range(hi, hi + after))):
-                src.take(index[row % n], out=halo[slot], mode="clip")
+        halo = ws.halo[1 if lo else 0]
+        for slot, row in enumerate(chain(range(lo - before, lo), range(hi, hi + after))):
+            src.take(index[row % n], out=halo[slot], mode="clip")
 
     def combine(lo, hi):
         halo = ws.halo[1 if lo else 0]
@@ -354,13 +358,6 @@ def advect_theta(f, dt, interpolation=LINEAR, work=None):
             # range; weighted, the range's weighted node, is None for the
             # first node, which out takes by assignment
             if j <= i:
-                return
-            if hi - lo == n:
-                row %= n
-                if weighted is None:
-                    np.multiply(weight, node[row:row + j - i], out=out[i:j])
-                else:
-                    out[i:j] += weighted[row:row + j - i]
                 return
             slot = before + row - (lo if row < lo else hi)
             node_rows = halo[slot:slot + j - i]
@@ -390,7 +387,7 @@ def advect_theta(f, dt, interpolation=LINEAR, work=None):
     if interpolation != LINEAR:
         new = out.sum(axis=0)
         scale = np.where(new > 0.0, old / np.where(new > 0.0, new, 1.0), 1.0)
-        ws.rows(lambda lo, hi: np.multiply(out[lo:hi], scale, out=out[lo:hi]))
+        ws.rows(functools.partial(_scale_rows, out, scale))
     return _result(work, grid, out)
 
 
@@ -431,11 +428,17 @@ def advect_v(f, phi_prime, dt, interpolation=LINEAR, work=None):
     total = values.sum()
     out = ws.half
 
+    # The node slices read the columns [pad - 1, pad + n_v + 2).  The copy
+    # starts in [2, 2 pad - 2], so it covers [2 pad, n_v) of every row:
+    # zeroing the read columns outside that band, [z0, a) and [b, z1),
+    # leaves no stale value in any slice, at most n_v + 3 columns a row.
+    z0, z1 = pad - 1, pad + n_v + 2
+    a = min(2 * pad, z1)
+    b = max(n_v, a)
+
     def kick(lo, hi):
-        # the copy starts in [2, 2 pad - 2], so with these two bands it
-        # rewrites every column of the rows
-        padded[lo:hi, :2 * pad] = 0.0
-        padded[lo:hi, n_v:] = 0.0
+        padded[lo:hi, z0:a] = 0.0
+        padded[lo:hi, b:z1] = 0.0
         windows[rows[lo:hi], dest[lo:hi]] = values[lo:hi]
         # weighting each node and summing left to right keeps the bits of
         # w0 * x0 + w1 * x1 + ...
@@ -513,10 +516,11 @@ def evolve(f0, config, observer=None, t_start=0.0):
     worker thread, one at a time, each in a copy of the caller's context
     (so the caller's np.errstate holds there), while evolve steps on: a
     call may overlap the steps up to the next record, which waits for it.
-    On a grid of more than _SPLIT_CELLS cells the same thread also takes
-    one row half of each row-local pass of the step, unless it is still
-    busy with an observer call when the caller is done with the other
-    half, which then takes it back: a step never waits on a measurement.
+    With an observer, on a grid of more than _SPLIT_CELLS cells, the same
+    thread also takes one row half of each row-local pass of the step,
+    unless it is still busy with an observer call when the caller is done
+    with the other half, which then takes it back: a step never waits on
+    a measurement.
     One abort rule covers the step, the mass renormalization and the
     observer: a ValueError or ArithmeticError at step k (a non-finite
     force, all mass gone from the velocity box, a failed measurement of
@@ -545,7 +549,14 @@ def evolve(f0, config, observer=None, t_start=0.0):
     grid = f0.grid
     m0 = mass(f0)
     lane = _Lane()
-    work = _Workspace(grid, lane)
+    # On a 2-CPU Linux host a woken thread starts on its waker's CPU, and
+    # the halves overlap only once the scheduler has moved the worker off
+    # it, which it does while the worker runs observer calls.  With no
+    # observer it stayed: a library 512^2 linear evolve with split steps
+    # and no observer ran at process CPU time 0.99 of wall time and
+    # 0.75-1.37x the parent's wall time over 10 pairs, so such a run
+    # steps on one lane.
+    work = _Workspace(grid, lane if observer is not None else None)
     state = kept = f0
     # values of the last record built here, once its call is posted
     prev = None
@@ -569,10 +580,8 @@ def evolve(f0, config, observer=None, t_start=0.0):
                             raise ValueError("all mass left the velocity box")
                         # a non-finite state has mass inf or NaN; its NaN
                         # products are left for the check below to report
-                        values, scale = state.values, m0 / m
                         with np.errstate(invalid="ignore"):
-                            work.rows(lambda lo, hi: np.multiply(
-                                values[lo:hi], scale, out=values[lo:hi]))
+                            work.rows(functools.partial(_scale_rows, state.values, m0 / m))
                     _check_values(state.values, "field", nonnegative=True)
                     if record:
                         kept = state = DistributionField._frozen(grid, state.values)

@@ -316,7 +316,7 @@ def test_v_advection_may_read_the_buffer_it_writes(parity, data, dt):
     ws.gather = np.empty_like(ws.product)
     for mode in (LINEAR, CUBIC):
         phi_prime = data.draw(forces(f.grid, dt))
-        # the kernel rewrites every column of padded, guard cells included
+        # the kernel zeroes or copies every column of padded that it reads
         for buf in (ws.half, ws.product, ws.gather, ws.padded):
             buf.fill(np.nan)
         ws.half[...] = f.values
@@ -405,6 +405,47 @@ def test_evolve_on_a_split_grid_matches_the_single_lane_run(mode):
     assert res.field.values.tobytes() == ref.field.values.tobytes()
     assert res.boundary_loss > 0.0
     assert (res.boundary_loss, res.clipped_mass) == (ref.boundary_loss, ref.clipped_mass)
+
+
+def test_evolve_without_an_observer_steps_on_one_lane(monkeypatch):
+    """With no observer the worker thread would share the caller's CPU,
+    so evolve hands it nothing, even on a grid above _SPLIT_CELLS."""
+    def post(self, fn, *args):
+        raise AssertionError("a job was posted")
+
+    monkeypatch.setattr(_Lane, "post", post)
+    monkeypatch.setattr(hmfp.solver, "_SPLIT_CELLS", 0)
+    f0 = wavy_gaussian(make_grid(33, 32, 2.5))
+    config = SolverConfig(dt=0.2, t_end=0.6, interpolation=CUBIC)
+    res = evolve(f0, config)
+    field, _, outflow, clipped = field_path_evolve(f0, config)
+    assert res.field.values.tobytes() == field.values.tobytes()
+    assert (res.boundary_loss, res.clipped_mass) == (outflow, clipped)
+
+
+def test_evolve_recycles_a_record_buffer_renormalized_at_its_step(monkeypatch):
+    """The record at step 2 renormalizes and step 3 does not: nothing in
+    evolve still names step 2's buffer at the record of step 4, so steps
+    5 and 6 write it again and the record of step 6 owns it."""
+    f0 = wavy_gaussian(default_grid(16))
+    m0 = mass(f0)
+    steps = []
+
+    def mass_at_step(f):
+        # evolve's first call is m0, then one call a step
+        steps.append(len(steps))
+        return m0 * (1.0 + 1e-9) if steps[-1] == 2 else m0
+
+    monkeypatch.setattr(hmfp.solver, "mass", mass_at_step)
+    address = {}
+
+    def observer(t, fld):
+        address[round(t / 0.1)] = fld.values.__array_interface__["data"][0]
+
+    evolve(f0, SolverConfig(dt=0.1, t_end=0.6, record_every=2), observer)
+    assert len(steps) == 7
+    assert sorted(address) == [0, 2, 4, 6]
+    assert address[6] == address[2] != address[4]
 
 
 @pytest.mark.parametrize("failing", ["near", "far", "both"])
