@@ -49,10 +49,10 @@ def _hold_freed_heap():
     its own mmap and raises the threshold only after a larger mapped block
     is freed; it returns the heap top to the kernel above M_TRIM_THRESHOLD.
     Left alone, glibc maps, faults in and unmaps many of the field-sized
-    temporaries (2 MiB at 512^2) of every command: the steady solves'
-    profiles, the v advection's gathers, the measurements at each evolve
-    record.  Where libc has no mallopt (macOS, Windows) this does nothing,
-    and musl's mallopt ignores both settings.
+    temporaries (2 MiB at 512^2) of every command, such as the steady
+    solves' profiles and the measurements at each evolve record.  Where
+    libc has no mallopt (macOS, Windows) this does nothing, and musl's
+    mallopt ignores both settings.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -21,7 +21,6 @@ import functools
 import sys
 import threading
 from dataclasses import dataclass
-from itertools import chain
 from queue import SimpleQueue
 from typing import NamedTuple
 
@@ -126,20 +125,23 @@ def _theta_stencil(grid, dt):
 
     The departure angle of node i is theta_i - v dt, i.e. index i + s with
     s = -v dt / d_theta, one shift per v column; it depends only on the
-    grid and dt, so every step of a run reuses one entry.  index holds
-    lower * n_v + col for the lower stencil node, reduced modulo n_theta;
-    stencils maps each interpolation to its per-column weights.  Every
-    array is read-only because every caller shares them.
+    grid and dt, so every step of a run reuses one entry.  Row r + 1 of
+    index holds lower * n_v + col for the lower stencil node of row
+    r mod n_theta, for r from -1 to n_theta + 1, so the stencil rows of any
+    row range are one slice of it.  stencils maps each interpolation to its
+    per-column weights.  Every caller shares these arrays, so the weights
+    are read-only; index is not, because ndarray.take copies a read-only
+    index whole before it gathers (one field-sized temporary a take), and
+    only advect_theta reads it.
     """
     n_v = grid.n_v
     base, u = _split_shift(-grid.v * dt / grid.d_theta, period=grid.n_theta)
-    # built in place: one n_theta x n_v int64 array at a time
-    index = np.arange(grid.n_theta)[:, None] + base[None, :]
+    # built in place: one (n_theta + 3) x n_v int64 array at a time
+    index = np.arange(-1, grid.n_theta + 2)[:, None] + base[None, :]
     index %= grid.n_theta
     index *= n_v
     index += np.arange(n_v)
     stencils = {mode: _weights(u, mode) for mode in (LINEAR, CUBIC)}
-    index.flags.writeable = False
     for stencil in stencils.values():
         for _, weight in stencil:
             weight.flags.writeable = False
@@ -260,15 +262,16 @@ class _Workspace:
     """The step buffers of one evolve call on one grid, and its lane.
 
     Theta and v advection both write to half, which within a step is
-    also their input: each reads its input whole, into a gather or into
-    padded, before it writes.  product holds each weighted stencil node,
-    and in linear mode the theta gather too.  gather, the cubic theta
-    gather, is allocated by the first cubic theta advection, and padded,
-    the shifted copy that v advection reads, only ever grows.  halo,
-    allocated by the first theta advection, holds for each row half the
-    theta gathers of the up to three rows beyond it that its stencil
-    reads, and two spare rows for their weighting.  evolve gives half a new
-    buffer after each record, whose field keeps the one the step wrote.
+    also their input: each reads its input whole, into nodes or into
+    padded, before it writes.  nodes, allocated by the first theta
+    advection, holds n_theta + 6 rows: each row range of a theta pass
+    gathers into a region of its own the node rows from the first to the
+    last its stencil reads.  padded, the shifted copy that v advection
+    reads, only ever grows.  Both kernels weight the last stencil node in
+    place, in nodes or in padded; product, allocated by the first cubic
+    pass, holds the other weighted nodes and the v pass's clipped parts.
+    evolve gives half a new buffer after each record, whose field keeps
+    the one the step wrote.
 
     lane is evolve's worker thread, or None: each row-local pass of the
     kernels runs as one body over a row range through rows(), on both
@@ -276,12 +279,10 @@ class _Workspace:
     """
 
     def __init__(self, grid, lane=None):
-        shape = (grid.n_theta, grid.n_v)
-        self.half = np.empty(shape)
-        self.product = np.empty(shape)
-        self.gather = None
+        self.half = np.empty((grid.n_theta, grid.n_v))
+        self.nodes = None
         self.padded = np.empty((grid.n_theta, 0))
-        self.halo = None
+        self.product = None
         self.lane = lane
 
     def rows(self, body):
@@ -318,67 +319,48 @@ def advect_theta(f, dt, interpolation=LINEAR, work=None):
 
     The stencil index is reduced modulo n_theta and every weight is per v
     column, so stencil node k at row i is node 0 at row (i + k) mod
-    n_theta: node 0 is gathered once, and each weighted node enters out as
-    row slices.  A row range gathers its own rows of node 0, and the rows
-    beyond it that its stencil reads into its halo buffer, so it never
-    reads a row that another range weights in place.  evolve passes half
-    back in as f, so every range gathers, and the cubic column sums are
-    taken, before any range writes out.
+    n_theta.  A row range [lo, hi) gathers node 0 of rows lo - before to
+    hi + after - 1, the rows its stencil reads, with one take into its own
+    region of nodes, and reads each stencil node as one row slice of that
+    region.  No node is read after the last, so the last is weighted in
+    place.  evolve passes half back in as f, so every range gathers, and
+    the cubic column sums are taken, before any range writes out.
     """
     grid = f.grid
-    n = grid.n_theta
     ws = _Workspace(grid) if work is None else work
+    # allocated before a new stencil is built: after it, a 512^2 evolve's
+    # peak RSS read 0.1 MB higher, from heap layout alone
+    if ws.nodes is None:
+        ws.nodes = np.empty((grid.n_theta + 6, grid.n_v))
     index, stencils = _theta_stencil(grid, dt)
     stencil = stencils[interpolation]
-    node = ws.product
     if interpolation != LINEAR:
-        if ws.gather is None:
-            ws.gather = np.empty_like(ws.product)
-        node = ws.gather
+        if ws.product is None:
+            ws.product = np.empty_like(ws.half)
         old = f.values.sum(axis=0)
-    if ws.halo is None:
-        ws.halo = np.empty((2, 5, grid.n_v))
     src = f.values.ravel()
     out = ws.half
-    # stencil rows before and after a row range, read from its halo
+    # stencil rows before and after a row range
     before, after = -stencil[0][0], stencil[-1][0]
 
+    def region(lo, hi):
+        # the range at lo > 0 takes the rows after the range at 0
+        start = lo + before + after if lo else 0
+        return ws.nodes[start:start + before + hi - lo + after]
+
     def gather(lo, hi):
-        src.take(index[lo:hi], out=node[lo:hi], mode="clip")
-        halo = ws.halo[1 if lo else 0]
-        for slot, row in enumerate(chain(range(lo - before, lo), range(hi, hi + after))):
-            src.take(index[row % n], out=halo[slot], mode="clip")
+        src.take(index[lo + 1 - before:hi + 1 + after], out=region(lo, hi), mode="clip")
 
     def combine(lo, hi):
-        halo = ws.halo[1 if lo else 0]
-        spare = halo[before + after:]
-
-        def edge(i, j, row, weight, weighted):
-            # out rows [i, j) from node rows row, row + 1, ... beyond the
-            # range; weighted, the range's weighted node, is None for the
-            # first node, which out takes by assignment
-            if j <= i:
-                return
-            slot = before + row - (lo if row < lo else hi)
-            node_rows = halo[slot:slot + j - i]
-            if weighted is None:
-                np.multiply(weight, node_rows, out=out[i:j])
-            else:
-                out[i:j] += np.multiply(weight, node_rows, out=spare[:j - i])
-
-        for m, (k, weight) in enumerate(stencil):
-            # rows [a, b) read node rows [a + k, b + k) of the range, the
-            # rows before a and from b on the rows beyond it
-            a = min(max(lo, lo - k), hi)
-            b = max(min(hi, hi - k), a)
-            weighted = None
-            if m == 0:
-                np.multiply(weight, node[a + k:b + k], out=out[a:b])
-            else:
-                weighted = np.multiply(weight, node[lo:hi], out=ws.product[lo:hi])
-                out[a:b] += weighted[a + k - lo:b + k - lo]
-            edge(lo, a, lo + k, weight, weighted)
-            edge(b, hi, b + k, weight, weighted)
+        nodes = region(lo, hi)
+        # weighting each node and summing left to right keeps the bits of
+        # w0 * x0 + w1 * x1 + ...
+        (k, weight), *rest = stencil
+        np.multiply(weight, nodes[before + k:before + k + hi - lo], out=out[lo:hi])
+        for k, weight in rest:
+            # the last node, k == after, is weighted in place
+            x = nodes[before + k:before + k + hi - lo]
+            out[lo:hi] += np.multiply(weight, x, out=x if k == after else ws.product[lo:hi])
         if interpolation != LINEAR:
             np.maximum(out[lo:hi], 0.0, out=out[lo:hi])
 
@@ -400,7 +382,9 @@ def advect_v(f, phi_prime, dt, interpolation=LINEAR, work=None):
     evolve's workspace the field is a view of its half buffer, without one
     a DistributionField built from fresh buffers.  f may be that half
     buffer: it is summed first, and each row range copies its rows into
-    padded before it writes them.
+    padded before it writes them.  No stencil node is read after the
+    last, so the last is weighted in place in padded, whose read columns
+    every pass zeroes or copies over first.
     """
     grid = f.grid
     n_v = grid.n_v
@@ -416,6 +400,8 @@ def advect_v(f, phi_prime, dt, interpolation=LINEAR, work=None):
     # slice inside the row.
     base, u = _split_shift(s, n_v + 2)
     ws = _Workspace(grid) if work is None else work
+    if interpolation != LINEAR and ws.product is None:
+        ws.product = np.empty_like(ws.half)
     pad = int(np.abs(base).max()) + 2
     if ws.padded.shape[1] < n_v + 2 * pad:
         ws.padded = np.empty((grid.n_theta, n_v + 2 * pad))
@@ -425,6 +411,7 @@ def advect_v(f, phi_prime, dt, interpolation=LINEAR, work=None):
     rows = np.arange(grid.n_theta)
     dest = pad - base
     stencil = _weights(u[:, None], interpolation)
+    last = stencil[-1][0]
     total = values.sum()
     out = ws.half
 
@@ -446,8 +433,9 @@ def advect_v(f, phi_prime, dt, interpolation=LINEAR, work=None):
         np.multiply(weight[lo:hi], padded[lo:hi, pad + k:pad + k + n_v],
                     out=out[lo:hi])
         for k, weight in rest:
-            out[lo:hi] += np.multiply(weight[lo:hi], padded[lo:hi, pad + k:pad + k + n_v],
-                                      out=ws.product[lo:hi])
+            x = padded[lo:hi, pad + k:pad + k + n_v]
+            out[lo:hi] += np.multiply(weight[lo:hi], x,
+                                      out=x if k == last else ws.product[lo:hi])
         if interpolation != LINEAR:
             np.minimum(out[lo:hi], 0.0, out=ws.product[lo:hi])
             np.maximum(out[lo:hi], 0.0, out=out[lo:hi])
